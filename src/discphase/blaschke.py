@@ -90,6 +90,48 @@ class BlaschkeProduct:
         return cls(constant, tuple(zeros))
 
 
+#: offsets of the 3 x 3 block of cells around a cell, as complex steps
+_BLOCK = tuple(complex(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+
+
+def dedup_indices(points, tol: float = 1e-12) -> np.ndarray:
+    """Indices of the points a greedy first-come pass keeps, in input order.
+
+    A point is kept iff no earlier kept point lies within ``tol`` of it.
+    Exact copies go first: a later copy always lies within ``tol`` of a
+    kept point.  The rest are binned into cells of side 2 tol, so points
+    within ``tol`` of each other share a 3 x 3 block of cells even after
+    rounding.  A point alone in its block is kept outright; only crowded
+    points are compared, in order, with the kept points of their block.
+    Non-finite points raise ValueError.
+    """
+    pts = np.asarray(points, dtype=complex).ravel()
+    bad = np.flatnonzero(~np.isfinite(pts))
+    if len(bad):
+        raise ValueError(f"point index {int(bad[0])} is not finite: {complex(pts[bad[0]])}")
+    idx = np.sort(np.unique(pts, return_index=True)[1])
+    with np.errstate(over="ignore"):  # huge coordinates share one infinite cell
+        cells = np.floor(pts[idx].real / (2 * tol)).astype(complex)
+        cells.imag = np.floor(pts[idx].imag / (2 * tol))
+    order = np.argsort(cells)
+    occupied = cells[order]
+    # lexicographic order: each column of the block is one contiguous run
+    crowd = sum(
+        np.searchsorted(occupied, occupied + complex(dx, 1), "right")
+        - np.searchsorted(occupied, occupied + complex(dx, -1))
+        for dx in (-1, 0, 1)
+    )
+    keep = np.empty(len(idx), dtype=bool)
+    keep[order] = crowd == 1
+    kept_in: dict[complex, list[complex]] = {}
+    for k in np.flatnonzero(~keep):
+        c, p = complex(cells[k]), complex(pts[idx[k]])
+        if all(abs(p - q) > tol for d in _BLOCK for q in kept_in.get(c + d, ())):
+            keep[k] = True
+            kept_in.setdefault(c, []).append(p)
+    return idx[keep]
+
+
 @dataclass(frozen=True)
 class CircleGrid:
     """``n_points`` equally spaced points on a circle, starting at ``phase_offset``."""
@@ -117,6 +159,8 @@ class LineSegmentGrid:
     def __post_init__(self):
         if self.n_points < 1:
             raise ValueError("n_points must be at least 1")
+        if not np.all(np.isfinite([self.start, self.end])):
+            raise ValueError(f"segment endpoint is not finite: {self.start}, {self.end}")
 
     def points(self) -> np.ndarray:
         if self.n_points == 1:
@@ -133,14 +177,10 @@ class ExplicitPoints:
     deduplicated: tuple[complex, ...] = field(init=False)
 
     def __post_init__(self):
-        pts = [complex(p) for p in self.raw]
-        kept: list[complex] = []
-        for p in pts:
-            if all(abs(p - q) > 1e-12 for q in kept):
-                kept.append(p)
-        object.__setattr__(self, "raw", tuple(pts))
-        object.__setattr__(self, "deduplicated", tuple(kept))
-        if not kept:
+        pts = np.asarray(self.raw, dtype=complex).ravel()
+        object.__setattr__(self, "raw", tuple(pts.tolist()))
+        object.__setattr__(self, "deduplicated", tuple(pts[dedup_indices(pts)].tolist()))
+        if not self.deduplicated:
             raise ValueError("point set is empty")
 
     def points(self) -> np.ndarray:

@@ -139,7 +139,8 @@ class ProductExpr:
 
 
 FunctionExpr = Union[
-    BlaschkeProduct, RationalFunction, MoebiusOf, PowerComposite, StripMap, ProductExpr
+    BlaschkeProduct, Polynomial, RationalFunction, MoebiusOf, PowerComposite, StripMap,
+    ProductExpr,
 ]
 
 
@@ -154,9 +155,7 @@ def expression_depth(expr) -> int:
 
 
 def function_expr_to_json(expr) -> dict:
-    if isinstance(expr, BlaschkeProduct):
-        return expr.to_json()
-    if isinstance(expr, RationalFunction):
+    if isinstance(expr, (BlaschkeProduct, Polynomial, RationalFunction)):
         return expr.to_json()
     if isinstance(expr, MoebiusOf):
         return {
@@ -180,6 +179,8 @@ def function_expr_from_json(obj: dict):
     kind = obj.get("type")
     if kind == "blaschke":
         return BlaschkeProduct.from_json(obj)
+    if kind == "poly":
+        return Polynomial.from_json(obj)
     if kind == "rational":
         return RationalFunction.from_json(obj)
     if kind == "moebius_of":

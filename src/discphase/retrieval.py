@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, ModulusSamples, align_constant
+from .blaschke import BlaschkeProduct, ModulusSamples, align_constant, dedup_indices
 from .errors import (
     DegreeCapExceeded,
     DiscPhaseError,
@@ -83,6 +83,9 @@ class ModulusData:
             raise ValueError("points and moduli must have equal length")
         if len(self.points) == 0:
             raise ValueError("empty sample set")
+        finite = np.isfinite(self.points) & np.isfinite(self.moduli)
+        if not np.all(finite & (self.moduli >= 0)):
+            raise ValueError("points and moduli must be finite, moduli non-negative")
         off = np.abs(np.abs(self.points - circle.center) - circle.radius)
         if float(off.max()) > 1e-10:
             raise ValueError(
@@ -498,12 +501,7 @@ def certify_finite_points(
     pts = np.asarray(points, dtype=complex).ravel()
     if len(pts) == 0:
         raise ValueError("empty point set")
-    # deduplicate at 1e-12
-    kept: list[complex] = []
-    for p in pts:
-        if all(abs(p - q) > 1e-12 for q in kept):
-            kept.append(complex(p))
-    pts = np.array(kept)
+    pts = pts[dedup_indices(pts)]
     radii = np.abs(pts)
     r = float(np.median(radii))
     if float(np.abs(radii - r).max()) > 1e-10:

@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,10 +17,12 @@ from discphase import (
     ModulusSamples,
     UNIT_CIRCLE,
     align_constant,
+    certify_finite_points,
     equal_up_to_unimodular,
     modulus_samples,
     perpendicular_lines_pair,
 )
+from discphase.blaschke import dedup_indices
 from conftest import random_blaschke
 
 
@@ -118,6 +123,65 @@ def test_point_sets():
     assert len(explicit.points()) == 2
     grid = CircleGrid(Circle(0.0, 0.5), 4, phase_offset=np.pi / 4)
     assert grid.points()[0] == pytest.approx(0.5 * np.exp(1j * np.pi / 4))
+
+
+# ------------------------------------------------------------- deduplication
+
+DEDUP_TOL = 1e-12
+
+
+def greedy_dedup(points, tol):
+    """The former O(n^2) loop, kept as the oracle for dedup_indices."""
+    kept: list[complex] = []
+    idx: list[int] = []
+    for i, p in enumerate(points):
+        if all(abs(p - q) > tol for q in kept):
+            kept.append(p)
+            idx.append(i)
+    return idx
+
+
+@st.composite
+def crowded_point_lists(draw):
+    """Exact copies, near-duplicate chains and coarse-lattice points near one origin."""
+    coord = st.floats(-1.0, 1.0)
+    origin = complex(draw(coord), draw(coord))
+    step = draw(st.sampled_from([0.3, 0.8, 2.0])) * DEDUP_TOL
+    turn = cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+    chain = [origin + k * step * turn for k in range(12)]
+    mesh = draw(st.sampled_from([0.5, 0.7, 1.0, 3.0])) * DEDUP_TOL
+    lattice = [origin + complex(a, b) * mesh for a in range(-2, 3) for b in range(-2, 3)]
+    pool = chain + lattice
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=60))
+    return [pool[i] for i in picks]
+
+
+@given(crowded_point_lists())
+@settings(max_examples=300, deadline=None)
+def test_dedup_indices_matches_greedy_loop(points):
+    got = dedup_indices(np.array(points, dtype=complex), DEDUP_TOL)
+    assert got.tolist() == greedy_dedup(points, DEDUP_TOL)
+
+
+def test_explicit_points_collapses_exact_copies():
+    assert ExplicitPoints((0.3 + 0.1j,) * 100_000).deduplicated == (0.3 + 0.1j,)
+
+
+def test_explicit_points_keeps_vertical_line():
+    line = 0.5 + 1j * np.linspace(-0.9, 0.9, 20_000)
+    assert ExplicitPoints(tuple(line)).deduplicated == tuple(line.tolist())
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), complex(0.0, math.inf)])
+@pytest.mark.parametrize("at", [0, 2])
+def test_non_finite_points_rejected(bad, at):
+    pts = [0.5, 0.5j, -0.5]
+    pts.insert(at, bad)
+    with pytest.raises(ValueError, match=f"point index {at} is not finite"):
+        ExplicitPoints(tuple(pts))
+    b = BlaschkeProduct(1.0, (0.3,))
+    with pytest.raises(ValueError, match="not finite"):
+        certify_finite_points(b, b, pts)
 
 
 def test_modulus_samples_csv_roundtrip(tmp_path):

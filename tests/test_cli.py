@@ -149,6 +149,42 @@ def test_retrieve_mismatched_grid_sizes(capsys, tmp_path, product_descriptor):
     assert rep["status"] == "invalid-input"
 
 
+def test_sample_poly_descriptor(capsys, tmp_path):
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"type": "poly", "coeffs": [[1.0, 0.0], [0.5, 0.0]]}))
+    out = tmp_path / "poly.csv"
+    code, rep, _ = run_cli(
+        capsys, "sample", "--f", str(poly), "--circle", "0,0,0.5", "--n", "64",
+        "--out", str(out),
+    )
+    assert code == 0
+    assert rep["status"] == "ok"
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    z = rows[:, 1] + 1j * rows[:, 2]
+    assert np.allclose(rows[:, 3], np.abs(1.0 + 0.5 * z), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("column", [3, 1])  # the modulus, then the real part
+def test_retrieve_rejects_non_finite_inner_row(capsys, tmp_path, product_descriptor, column):
+    boundary = str(tmp_path / "boundary.csv")
+    inner = tmp_path / "inner.csv"
+    run_cli(capsys, "sample", "--f", product_descriptor, "--circle", "0,0,1",
+            "--n", "64", "--out", boundary)
+    run_cli(capsys, "sample", "--f", product_descriptor, "--circle", "0,0,0.5",
+            "--n", "64", "--out", str(inner))
+    lines = inner.read_text().splitlines()
+    row = lines[5].split(",")
+    row[column] = "inf" if column == 3 else "nan"
+    lines[5] = ",".join(row)
+    inner.write_text("\n".join(lines) + "\n")
+    code, rep, _ = run_cli(
+        capsys, "retrieve", "--boundary", boundary, "--inner", str(inner), "--r", "0.5"
+    )
+    assert code == 2
+    assert rep["status"] == "invalid-input"
+    assert "must be finite" in rep["error"]
+
+
 def test_retrieve_bad_csv_reports_line_number(capsys, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,modulus\n0.0,1.0\nnonsense\n")
@@ -274,6 +310,23 @@ def test_verify_file_point_set(capsys, tmp_path):
     )
     assert code == 0
     assert rep["report"]["n_points"] == 3
+
+
+@pytest.mark.parametrize("spec", ["file:{first}", "file:{later}", "segment:nan,0,0.5,0"])
+def test_verify_rejects_non_finite_point(capsys, tmp_path, spec):
+    out_dir = str(tmp_path / "ex")
+    run_cli(capsys, "example", "perpendicular_lines", "--out-dir", out_dir)
+    first = tmp_path / "first.csv"
+    first.write_text("re,im\nnan,0\n0.5,0.0\n0.0,0.5\n")
+    later = tmp_path / "later.csv"
+    later.write_text("re,im\n0.5,0.0\nnan,0\n0.0,0.5\n")
+    code, rep, _ = run_cli(
+        capsys, "verify", "--f", f"{out_dir}/f.json", "--g", f"{out_dir}/g.json",
+        "--set", spec.format(first=first, later=later),
+    )
+    assert code == 2
+    assert rep["status"] == "invalid-input"
+    assert "not finite" in rep["error"]
 
 
 def test_verify_bad_set_spec(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,18 @@ def test_recover_three_zeros():
     rec = recover_blaschke_on_circle(data, 3)
     for z_true in b.zeros:
         assert min(abs(z_true - z) for z in rec.zeros) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [("points", math.inf), ("points", math.nan), ("moduli", math.inf), ("moduli", math.nan),
+     ("moduli", -0.5)],
+)
+def test_modulus_data_rejects_non_finite_input(field, bad):
+    data = {"points": Circle(0.0, 0.5).sample_points(8), "moduli": np.ones(8)}
+    data[field][3] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        ModulusData(Circle(0.0, 0.5), data["points"], data["moduli"])
 
 
 def test_recover_rejects_vanishing_moduli():
