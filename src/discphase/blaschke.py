@@ -90,19 +90,22 @@ class BlaschkeProduct:
         return cls(constant, tuple(zeros))
 
 
+#: explicit points closer than this to an earlier kept point are dropped
+_DEDUP_TOL = 1e-12
+
 #: offsets of the 3 x 3 block of cells around a cell, as complex steps
 _BLOCK = tuple(complex(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
 
 
-def dedup_indices(points, tol: float = 1e-12) -> np.ndarray:
+def dedup_indices(points) -> np.ndarray:
     """Indices of the points a greedy first-come pass keeps, in input order.
 
-    A point is kept iff no earlier kept point lies within ``tol`` of it.
-    Exact copies go first: a later copy always lies within ``tol`` of a
-    kept point.  The rest are binned into cells of side 2 tol, so points
-    within ``tol`` of each other share a 3 x 3 block of cells even after
-    rounding.  A point alone in its block is kept outright; only crowded
-    points are compared, in order, with the kept points of their block.
+    A point is kept iff no earlier kept point lies within 1e-12 of it.
+    After exact copies go (a later copy is never kept), points are binned
+    into cells of side 2e-12; a point alone in its 3 x 3 block of cells is
+    kept outright and only crowded points run the greedy order.  Close
+    points agree exactly in any coordinate past 2**13, so the coarse cells
+    of huge coordinates (beyond 2**53 cells, or infinite) cannot part them.
     Non-finite points raise ValueError.
     """
     pts = np.asarray(points, dtype=complex).ravel()
@@ -111,8 +114,8 @@ def dedup_indices(points, tol: float = 1e-12) -> np.ndarray:
         raise ValueError(f"point index {int(bad[0])} is not finite: {complex(pts[bad[0]])}")
     idx = np.sort(np.unique(pts, return_index=True)[1])
     with np.errstate(over="ignore"):  # huge coordinates share one infinite cell
-        cells = np.floor(pts[idx].real / (2 * tol)).astype(complex)
-        cells.imag = np.floor(pts[idx].imag / (2 * tol))
+        cells = np.floor(pts[idx].real / (2 * _DEDUP_TOL)).astype(complex)
+        cells.imag = np.floor(pts[idx].imag / (2 * _DEDUP_TOL))
     order = np.argsort(cells)
     occupied = cells[order]
     # lexicographic order: each column of the block is one contiguous run
@@ -126,7 +129,7 @@ def dedup_indices(points, tol: float = 1e-12) -> np.ndarray:
     kept_in: dict[complex, list[complex]] = {}
     for k in np.flatnonzero(~keep):
         c, p = complex(cells[k]), complex(pts[idx[k]])
-        if all(abs(p - q) > tol for d in _BLOCK for q in kept_in.get(c + d, ())):
+        if all(abs(p - q) > _DEDUP_TOL for d in _BLOCK for q in kept_in.get(c + d, ())):
             keep[k] = True
             kept_in.setdefault(c, []).append(p)
     return idx[keep]

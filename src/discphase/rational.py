@@ -32,7 +32,8 @@ class Polynomial:
     """Dense complex polynomial, coefficients in ascending degree order.
 
     Trailing coefficients below 1e-14 * max|coeff| are trimmed on
-    construction; the zero polynomial is stored as [0].
+    construction; the zero polynomial is stored as [0].  Non-finite
+    coefficients raise ValueError.
     """
 
     __slots__ = ("coeffs",)
@@ -41,6 +42,8 @@ class Polynomial:
         arr = np.atleast_1d(np.asarray(coeffs, dtype=complex)).ravel()
         if arr.size == 0:
             arr = np.zeros(1, dtype=complex)
+        if not np.isfinite(arr).all():
+            raise ValueError("polynomial coefficients must be finite")
         top = float(np.abs(arr).max())
         if top == 0.0:
             arr = np.zeros(1, dtype=complex)

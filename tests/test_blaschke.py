@@ -127,15 +127,15 @@ def test_point_sets():
 
 # ------------------------------------------------------------- deduplication
 
-DEDUP_TOL = 1e-12
+DEDUP_TOL = 1e-12  # the rule's fixed distance, for building test inputs
 
 
-def greedy_dedup(points, tol):
+def greedy_dedup(points):
     """The former O(n^2) loop, kept as the oracle for dedup_indices."""
     kept: list[complex] = []
     idx: list[int] = []
     for i, p in enumerate(points):
-        if all(abs(p - q) > tol for q in kept):
+        if all(abs(p - q) > DEDUP_TOL for q in kept):
             kept.append(p)
             idx.append(i)
     return idx
@@ -143,9 +143,14 @@ def greedy_dedup(points, tol):
 
 @st.composite
 def crowded_point_lists(draw):
-    """Exact copies, near-duplicate chains and coarse-lattice points near one origin."""
+    """Exact copies, near-duplicate chains and coarse-lattice points near one origin.
+
+    Origins far out put cell indices past 2**53 and, at 1e297, past the
+    float range, where every step below collapses onto exact copies.
+    """
     coord = st.floats(-1.0, 1.0)
-    origin = complex(draw(coord), draw(coord))
+    scale = draw(st.sampled_from([1.0, 1e5, 1e297]))
+    origin = scale * complex(draw(coord), draw(coord))
     step = draw(st.sampled_from([0.3, 0.8, 2.0])) * DEDUP_TOL
     turn = cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
     chain = [origin + k * step * turn for k in range(12)]
@@ -159,8 +164,8 @@ def crowded_point_lists(draw):
 @given(crowded_point_lists())
 @settings(max_examples=300, deadline=None)
 def test_dedup_indices_matches_greedy_loop(points):
-    got = dedup_indices(np.array(points, dtype=complex), DEDUP_TOL)
-    assert got.tolist() == greedy_dedup(points, DEDUP_TOL)
+    got = dedup_indices(np.array(points, dtype=complex))
+    assert got.tolist() == greedy_dedup(points)
 
 
 def test_explicit_points_collapses_exact_copies():

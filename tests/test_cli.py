@@ -163,6 +163,14 @@ def test_sample_poly_descriptor(capsys, tmp_path):
     z = rows[:, 1] + 1j * rows[:, 2]
     assert np.allclose(rows[:, 3], np.abs(1.0 + 0.5 * z), rtol=0, atol=1e-15)
 
+    poly.write_text(json.dumps({"type": "poly", "coeffs": [[math.nan, 0.0]]}))
+    code, rep, _ = run_cli(
+        capsys, "sample", "--f", str(poly), "--circle", "0,0,0.5", "--n", "64",
+        "--out", str(out),
+    )
+    assert code == 2
+    assert rep["status"] == "invalid-input"
+
 
 @pytest.mark.parametrize("column", [3, 1])  # the modulus, then the real part
 def test_retrieve_rejects_non_finite_inner_row(capsys, tmp_path, product_descriptor, column):
