@@ -199,6 +199,8 @@ def cmd_certify(args) -> int:
     pts = r * np.exp(2j * np.pi * np.arange(k) / k)
     try:
         cert = certify_finite_points(b_f, b_g, pts, tol=args.tol)
+    except ValueError as exc:
+        return _fail(EXIT_INVALID, str(exc))
     except DiscPhaseError as exc:
         return _fail(EXIT_NUMERICAL, str(exc), kind=type(exc).__name__)
     report = {"command": "certify", "certificate": cert.to_json()}
@@ -243,6 +245,8 @@ def cmd_verify(args) -> int:
         return _fail(EXIT_INVALID, str(exc))
     try:
         rep = verify_equal_modulus(f, g, point_set, tol=args.tol)
+    except ValueError as exc:
+        return _fail(EXIT_INVALID, str(exc))
     except DiscPhaseError as exc:
         return _fail(EXIT_NUMERICAL, str(exc), kind=type(exc).__name__)
     report = {"command": "verify", "report": rep.to_json()}

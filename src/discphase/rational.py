@@ -1,9 +1,9 @@
 """Complex polynomials, rational functions, and root finding.
 
 Polynomials are dense ascending coefficient vectors (degrees here stay
-below ~40).  The root finder is a simultaneous Aberth-Ehrlich iteration
-with a companion-matrix fallback; residuals are always checked against an
-explicit bound so failures are loud.
+below ~40).  Roots are companion-matrix eigenvalues refined by Newton
+steps; residuals are always checked against an explicit bound so failures
+are loud.
 
 The modulus-product construction turns |B|^2 on a centred circle of radius
 r into an explicit rational function of z, using the reflection
@@ -62,9 +62,7 @@ class Polynomial:
 
     def __call__(self, z):
         zz = np.asarray(z, dtype=complex)
-        out = np.zeros(zz.shape, dtype=complex)
-        for c in self.coeffs[::-1]:
-            out = out * zz + c
+        out = _horner(self.coeffs, zz)
         return complex(out) if zz.ndim == 0 else out
 
     def derivative(self) -> "Polynomial":
@@ -182,59 +180,19 @@ class RationalFunction:
         return cls(Polynomial.from_json(obj["num"]), Polynomial.from_json(obj["den"]))
 
 
-def _horner_pair(coeffs: np.ndarray, dcoeffs: np.ndarray, z: np.ndarray):
-    p = np.zeros(z.shape, dtype=complex)
+def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Value at ``z`` of the polynomial with ascending ``coeffs``, highest term first."""
+    out = np.zeros(z.shape, dtype=complex)
     for c in coeffs[::-1]:
-        p = p * z + c
-    dp = np.zeros(z.shape, dtype=complex)
-    for c in dcoeffs[::-1]:
-        dp = dp * z + c
-    return p, dp
-
-
-def _aberth(coeffs: np.ndarray, max_iter: int) -> tuple[np.ndarray, bool]:
-    """Simultaneous Aberth-Ehrlich iteration; deterministic seeds, no RNG."""
-    n = len(coeffs) - 1
-    monic = coeffs / coeffs[-1]
-    dcoeffs = coeffs[1:] * np.arange(1, n + 1)
-    radius = 1.0 + float(np.abs(monic[:-1]).max())
-    angles = 2.0 * np.pi * (np.arange(n) + 0.5) / n + 0.7
-    z = radius * np.exp(1j * angles)
-    for _ in range(max_iter):
-        p, dp = _horner_pair(coeffs, dcoeffs, z)
-        small = np.abs(dp) <= 1e-300
-        if np.any(small):
-            z = z * (1.0 + 1e-8) + 1e-12
-            continue
-        w = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        inv = 1.0 / diff
-        np.fill_diagonal(inv, 0.0)
-        s = inv.sum(axis=1)
-        denom = 1.0 - w * s
-        denom = np.where(np.abs(denom) <= 1e-300, 1.0, denom)
-        step = w / denom
-        z = z - step
-        if np.abs(step).max() <= 1e-14 * (1.0 + np.abs(z).max()):
-            return z, True
-    return z, False
-
-
-def _residual_ok(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    n = len(coeffs) - 1
-    vals = np.zeros(roots.shape, dtype=complex)
-    for c in coeffs[::-1]:
-        vals = vals * roots + c
-    bound = 1e-9 * float(np.abs(coeffs).max()) * np.maximum(1.0, np.abs(roots)) ** n
-    return np.abs(vals) <= bound
+        out = out * z + c
+    return out
 
 
 def _newton_polish(coeffs: np.ndarray, roots: np.ndarray, sweeps: int = 3) -> np.ndarray:
     dcoeffs = coeffs[1:] * np.arange(1, len(coeffs))
     z = roots.copy()
     for _ in range(sweeps):
-        p, dp = _horner_pair(coeffs, dcoeffs, z)
+        p, dp = _horner(coeffs, z), _horner(dcoeffs, z)
         safe = np.abs(dp) > 1e-300
         z[safe] = z[safe] - p[safe] / dp[safe]
     return z
@@ -243,6 +201,10 @@ def _newton_polish(coeffs: np.ndarray, roots: np.ndarray, sweeps: int = 3) -> np
 def _cluster_roots(roots: np.ndarray, tol: float) -> list[complex]:
     order = np.lexsort((roots.imag, roots.real))
     sorted_roots = roots[order]
+    gaps = np.abs(sorted_roots[:, None] - sorted_roots[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    if not np.any(gaps <= tol):
+        return sorted_roots.tolist()
     clusters: list[list[complex]] = []
     for r in sorted_roots:
         placed = False
@@ -260,31 +222,26 @@ def _cluster_roots(roots: np.ndarray, tol: float) -> list[complex]:
     return out
 
 
-def poly_roots(
-    p: Polynomial, cluster_tol: float = 1e-8, max_iter: int = 200
-) -> list[complex]:
+def poly_roots(p: Polynomial, cluster_tol: float = 1e-8) -> list[complex]:
     """All roots of ``p`` as a multiset (cluster representatives repeated).
 
-    Aberth-Ehrlich first; if any residual exceeds
-    1e-9 * max|coeff| * max(1, |root|)^deg the companion-matrix eigenvalues
-    are used (with a Newton polish) instead.  Raises NonConvergence when
-    neither route meets the bound.
+    The roots are the eigenvalues of the balanced companion matrix
+    (``np.roots``; backward stable, Edelman & Murakami 1995), refined by
+    three Newton sweeps.  Every root must then satisfy
+    |p(root)| <= 1e-9 * max|coeff| * max(1, |root|)^deg, or NonConvergence
+    is raised.  Roots within ``cluster_tol`` of the first root of their
+    cluster (in real-then-imaginary order) are replaced by the cluster mean.
     """
     if p.degree < 1 or p.is_zero:
         raise ValueError("root finding requires degree >= 1")
     coeffs = p.coeffs
     if p.degree == 1:
         return [complex(-coeffs[0] / coeffs[1])]
-    roots, converged = _aberth(coeffs, max_iter)
-    if not converged or not np.all(_residual_ok(coeffs, roots)):
-        fallback = np.roots(coeffs[::-1])
-        fallback = _newton_polish(coeffs, fallback)
-        if not np.all(_residual_ok(coeffs, fallback)):
-            vals = np.abs(Polynomial(coeffs)(fallback))
-            raise NonConvergence(
-                f"root residuals too large after fallback: max |p(root)| = {vals.max():.3e}"
-            )
-        roots = fallback
+    roots = _newton_polish(coeffs, np.roots(coeffs[::-1]))
+    vals = np.abs(_horner(coeffs, roots))
+    bound = 1e-9 * float(np.abs(coeffs).max()) * np.maximum(1.0, np.abs(roots)) ** p.degree
+    if not np.all(vals <= bound):
+        raise NonConvergence(f"root residuals too large: max |p(root)| = {vals.max():.3e}")
     return _cluster_roots(roots, cluster_tol)
 
 

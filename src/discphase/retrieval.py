@@ -52,6 +52,13 @@ logger = logging.getLogger(__name__)
 _POLE_BAND = 0.02
 
 
+def _check_tolerance(name: str, value: float) -> None:
+    # a NaN tolerance makes every "residual > tol" test false and so passes
+    # every check; an infinite one does the same for finite residuals
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RetrievalConfig:
     degree_max: int = 8
@@ -62,8 +69,8 @@ class RetrievalConfig:
     def __post_init__(self):
         if self.degree_max < 0:
             raise ValueError("degree_max must be >= 0")
-        if self.residual_tol <= 0 or self.rank_ratio <= 0:
-            raise ValueError("tolerances must be positive")
+        _check_tolerance("residual_tol", self.residual_tol)
+        _check_tolerance("rank_ratio", self.rank_ratio)
 
     @property
     def fit_points_min(self) -> int:
@@ -496,8 +503,10 @@ def certify_finite_points(
     radius r in (0, 1), and the difference polynomial is identically zero
     (consistency check), the moduli agree on the whole circle and the
     products differ by a unimodular constant.  Otherwise the certificate is
-    inconclusive, with the observed count and the bound.
+    inconclusive, with the observed count and the bound.  ``tol`` must be
+    finite and positive.
     """
+    _check_tolerance("tol", tol)
     pts = np.asarray(points, dtype=complex).ravel()
     if len(pts) == 0:
         raise ValueError("empty point set")
@@ -593,6 +602,10 @@ class EqualModulusReport:
     worst_point: complex
     n_points: int
     tol: float | None = None
+
+    def __post_init__(self):
+        if self.tol is not None:
+            _check_tolerance("tol", self.tol)
 
     @property
     def within_tol(self) -> bool | None:

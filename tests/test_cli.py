@@ -285,6 +285,38 @@ def test_certify_rejects_non_blaschke_descriptor(capsys, tmp_path, product_descr
     assert code == 2
 
 
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"stdout holds the non-JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["retrieve", "certify", "verify"])
+def test_non_finite_tol_is_invalid_input(capsys, tmp_path, blaschke_files, command, tol):
+    if command == "retrieve":
+        # degree-2 data and --degree-max 0: only a tolerance that passes every
+        # residual check lets the degree-0 fit through
+        boundary, inner = str(tmp_path / "boundary.csv"), str(tmp_path / "inner.csv")
+        for circle, out in (("0,0,1", boundary), ("0,0,0.5", inner)):
+            run_cli(capsys, "sample", "--f", blaschke_files["b1"], "--circle", circle,
+                    "--n", "64", "--out", out)
+        args = ["retrieve", "--boundary", boundary, "--inner", inner, "--r", "0.5",
+                "--degree-max", "0"]
+    elif command == "certify":
+        args = ["certify", "--f", blaschke_files["b1"], "--g", blaschke_files["b3"],
+                "--r", "0.5", "--points", "8"]
+    else:
+        args = ["verify", "--f", blaschke_files["b1"], "--g", blaschke_files["b3"],
+                "--set", "circle:0,0,0.5"]
+    code = main(args + ["--tol", tol])
+    rep = _strict_json(capsys.readouterr().out)
+    assert code == 2
+    assert rep["status"] == "invalid-input"
+    assert "finite and positive" in rep["error"]
+
+
 # -------------------------------------------------------------- verify / example
 
 

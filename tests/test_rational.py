@@ -12,6 +12,7 @@ from discphase import (
     modulus_equation_poly,
     poly_roots,
 )
+from discphase.rational import _cluster_roots
 from conftest import random_blaschke
 
 
@@ -88,12 +89,55 @@ def test_roots_expand_identity_property():
             assert min(abs(r - s) for s in recovered) < 1e-8
 
 
+@pytest.mark.parametrize("n_zeros", [8, 10])
+def test_roots_with_retrieval_dynamic_range(n_zeros):
+    # the denominator of a fitted |B|^2 on rT has roots r*a and 1/(r*conj(a))
+    r = 0.5
+    rng = np.random.default_rng(n_zeros)
+    for _ in range(5):
+        zeros: list[complex] = []
+        while len(zeros) < n_zeros:
+            cand = rng.uniform(0.1, 0.8) * np.exp(2j * np.pi * rng.uniform())
+            if all(abs(cand - a) >= 0.25 for a in zeros):
+                zeros.append(cand)
+        roots = [r * a for a in zeros] + [1 / (r * a.conjugate()) for a in zeros]
+        p = Polynomial.from_roots(roots)
+        recovered = np.array(poly_roots(p))
+        assert len(recovered) == 2 * n_zeros
+        for w in roots:
+            assert np.abs(recovered - w).min() <= 1e-8 * abs(w)
+        bound = 1e-9 * np.abs(p.coeffs).max() * np.maximum(1.0, np.abs(recovered)) ** p.degree
+        assert np.all(np.abs(p(recovered)) <= bound)
+
+
 def test_roots_cluster_multiplicity():
     p = Polynomial.from_roots([0.5, 0.5])
     roots = poly_roots(p)
     assert len(roots) == 2
     assert roots[0] == roots[1]  # shared cluster representative
     assert abs(roots[0] - 0.5) < 1e-6
+
+
+def test_cluster_roots_matches_greedy_loop():
+    def greedy(roots, tol):
+        clusters: list[list[complex]] = []
+        for r in roots[np.lexsort((roots.imag, roots.real))]:
+            home = next((c for c in clusters if abs(r - c[0]) <= tol), None)
+            if home is None:
+                clusters.append([complex(r)])
+            else:
+                home.append(complex(r))
+        return [complex(np.mean(c)) for c in clusters for _ in c]
+
+    rng = np.random.default_rng(5)
+    for k in range(300):
+        z = rng.normal(size=12) + 1j * rng.normal(size=12)
+        if k % 2:  # some roots within 1e-8 of others, and exact copies
+            z[:4] = z[4:8] + rng.normal(scale=5e-9, size=4)
+            z[8] = z[9]
+        got = _cluster_roots(z, 1e-8)
+        assert got == greedy(z, 1e-8)
+        assert all(type(w) is complex for w in got)
 
 
 def test_roots_requires_degree():
