@@ -20,7 +20,7 @@ from discphase import (
     BlaschkeProduct,
     certify_finite_points,
     equality_points_on_circle,
-    modulus_equation_poly,
+    modulus_equation,
 )
 
 r = 0.5
@@ -44,7 +44,7 @@ print(f"\ndistinct product (zero 0.3 moved to 0.5), 64 circle points:")
 print(f"  agreeing points      : {cert3.agreeing_count} (bound {cert3.bound})")
 print(f"  verdict              : {cert3.verdict}")
 
-d = modulus_equation_poly(b1, b3, r)
+d = modulus_equation(b1, b3, r).poly
 print(f"\nthe difference polynomial has degree {d.degree} <= {bound}, so |B1| = |B3|")
 print("at no more than that many circle points; the actual equality points are:")
 try:

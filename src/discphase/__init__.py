@@ -31,7 +31,6 @@ from .counterexamples import (
     inverse_points_demo,
     perpendicular_lines_pair,
     rational_angle_pair,
-    strip_map_eval,
     two_circle_right_angle_pair,
 )
 from .errors import (
@@ -74,9 +73,8 @@ from .geometry import (
     inverse_point,
     is_point_at_infinity,
     map_circle,
-    moebius_apply,
 )
-from .outer import BoundaryModulus, OuterFunction, boundary_modulus_of, outer_eval
+from .outer import BoundaryModulus, OuterFunction, boundary_modulus_of
 from .rational import (
     ModulusEquation,
     Polynomial,
@@ -84,7 +82,6 @@ from .rational import (
     build_modulus_product,
     equality_points_on_circle,
     modulus_equation,
-    modulus_equation_poly,
     poly_roots,
 )
 from .retrieval import (

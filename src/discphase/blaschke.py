@@ -33,11 +33,11 @@ class BlaschkeProduct:
 
     def __post_init__(self):
         c = complex(self.constant)
-        if abs(abs(c) - 1.0) > 1e-12:
+        if not abs(abs(c) - 1.0) <= 1e-12:
             raise ValueError(f"constant must be unimodular, |c| = {abs(c)!r}")
         zs = tuple(complex(a) for a in self.zeros)
         for a in zs:
-            if abs(a) > _ZERO_MODULUS_CAP:
+            if not abs(a) <= _ZERO_MODULUS_CAP:
                 raise ValueError(
                     f"zero {a} too close to the unit circle (|a| = {abs(a)!r})"
                 )
@@ -146,6 +146,8 @@ class CircleGrid:
     def __post_init__(self):
         if self.n_points < 1:
             raise ValueError("n_points must be at least 1")
+        if not np.isfinite(self.phase_offset):
+            raise ValueError(f"phase_offset must be finite, got {self.phase_offset!r}")
 
     def points(self) -> np.ndarray:
         return self.circle.sample_points(self.n_points, self.phase_offset)
@@ -193,6 +195,47 @@ class ExplicitPoints:
 PointSet = Union[CircleGrid, LineSegmentGrid, ExplicitPoints]
 
 
+def write_csv(path, header: str, columns) -> None:
+    """Write equal-length columns under ``header``, each value in ``repr`` form."""
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def read_csv(path, header: str) -> np.ndarray:
+    """The float columns of a CSV file written under ``header``, one array each.
+
+    Line 1 must equal ``header``; blank lines are skipped; every other line
+    has the header's field count and float fields.  Errors name the line.
+    """
+    n_fields = header.count(",") + 1
+    values: list[float] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        got = fh.readline().strip()
+        if got != header:
+            raise ValueError(f"line 1: expected header {header!r}, got {got!r}")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != n_fields:
+                raise ValueError(f"line {lineno}: expected {n_fields} fields, got {len(parts)}")
+            try:
+                values.extend(map(float, parts))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
+    return np.array(values, dtype=float).reshape(-1, n_fields).T
+
+
+def complex_points(re, im) -> np.ndarray:
+    """Points with exactly these parts (``re + 1j * im`` gives ``1j * inf`` a NaN real part)."""
+    points = np.array(re, dtype=complex)
+    points.imag = im
+    return points
+
+
 class ModulusSamples:
     """(point, modulus) pairs in deterministic grid order."""
 
@@ -206,33 +249,13 @@ class ModulusSamples:
         return len(self.points)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("index,re,im,modulus\n")
-            for k, (p, m) in enumerate(zip(self.points, self.moduli)):
-                fh.write(f"{k},{float(p.real)!r},{float(p.imag)!r},{float(m)!r}\n")
+        columns = (range(len(self)), self.points.real, self.points.imag, self.moduli)
+        write_csv(path, "index,re,im,modulus", columns)
 
     @classmethod
     def from_csv(cls, path) -> "ModulusSamples":
-        points: list[complex] = []
-        moduli: list[float] = []
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "index,re,im,modulus":
-                raise ValueError(
-                    f"line 1: expected header 'index,re,im,modulus', got {header!r}"
-                )
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                parts = line.strip().split(",")
-                if len(parts) != 4:
-                    raise ValueError(f"line {lineno}: expected 4 fields, got {len(parts)}")
-                try:
-                    points.append(complex(float(parts[1]), float(parts[2])))
-                    moduli.append(float(parts[3]))
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: {exc}") from exc
-        return cls(points, moduli)
+        _, re, im, moduli = read_csv(path, "index,re,im,modulus")
+        return cls(complex_points(re, im), moduli)
 
 
 def modulus_samples(func, point_set: PointSet) -> ModulusSamples:

@@ -21,7 +21,10 @@ from .blaschke import (
     ExplicitPoints,
     LineSegmentGrid,
     ModulusSamples,
+    complex_points,
     modulus_samples,
+    read_csv,
+    write_csv,
 )
 from .counterexamples import (
     StripMap,
@@ -218,19 +221,11 @@ def _parse_point_set(spec: str, n: int):
         x1, y1, x2, y2 = (float(p) for p in parts)
         return LineSegmentGrid(complex(x1, y1), complex(x2, y2), n)
     if kind == "file":
-        points = []
-        with open(rest, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "re,im":
-                raise ValueError(f"{rest}: line 1: expected header 're,im', got {header!r}")
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                parts = line.strip().split(",")
-                if len(parts) != 2:
-                    raise ValueError(f"{rest}: line {lineno}: expected 2 fields")
-                points.append(complex(float(parts[0]), float(parts[1])))
-        return ExplicitPoints(tuple(points))
+        try:
+            re, im = read_csv(rest, "re,im")
+        except ValueError as exc:
+            raise ValueError(f"{rest}: {exc}") from exc
+        return ExplicitPoints(complex_points(re, im))
     raise ValueError(
         f"set spec must be 'circle:cx,cy,r', 'segment:x1,y1,x2,y2' or 'file:path', got {spec!r}"
     )
@@ -272,12 +267,8 @@ def cmd_sample(args) -> int:
     )
     if is_boundary_grid:
         # unit-circle data uses the t,modulus format consumed by `retrieve`
-        t = 2.0 * np.pi * np.arange(n) / n
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("t,modulus\n")
-            for tk, m in zip(t, samples.moduli):
-                fh.write(f"{float(tk)!r},{float(m)!r}\n")
         fmt = "t,modulus"
+        write_csv(args.out, fmt, (2.0 * np.pi * np.arange(n) / n, samples.moduli))
     else:
         samples.to_csv(args.out)
         fmt = "index,re,im,modulus"

@@ -243,9 +243,12 @@ def finite_set_pair(
     if equal_up_to_unimodular(u, v, tol=1e-9) is not None:
         raise UEqualsV("u and v coincide up to a unimodular constant")
     alpha = complex(alpha)
-    if abs(alpha) >= 1.0:
+    if not abs(alpha) < 1.0:
         raise ValueError("alpha must lie in the open disc")
-    b = BlaschkeProduct(1.0, tuple(complex(x) for x in x_points))
+    xs = tuple(complex(x) for x in x_points)
+    if not all(abs(x) < 1.0 for x in xs):
+        raise ValueError("x_points must lie in the open disc")
+    b = BlaschkeProduct(1.0, xs)
     psi = disc_automorphism(1.0, alpha)
     f = MoebiusOf(psi, ProductExpr((b, u)))
     g = MoebiusOf(psi, ProductExpr((b, v)))
@@ -277,6 +280,8 @@ def two_circle_right_angle_pair(c1: float = 2.0, c2: float = 3.0) -> RightAngleP
     Distinct parameters c1, c2 give distinct functions; a witness point off
     the circles with modulus gap > 1e-3 is returned.
     """
+    if not (math.isfinite(c1) and math.isfinite(c2)):
+        raise ValueError("c1 and c2 must be finite")
     if c1 == c2:
         raise ValueError("c1 and c2 must differ")
     a = 1j / (3.0 * math.sqrt(2.0))
@@ -324,11 +329,6 @@ def two_circle_right_angle_pair(c1: float = 2.0, c2: float = 3.0) -> RightAngleP
         witness_point=witness_point,
         witness_deviation=witness_dev,
     )
-
-
-def strip_map_eval(s):
-    """Evaluate the standard strip-to-disc map at ``s``."""
-    return StripMap()(s)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ transport.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -104,14 +105,6 @@ class MoebiusMap:
         return cls(*(complex(obj[k][0], obj[k][1]) for k in "abcd"))
 
 
-IDENTITY_MAP = MoebiusMap(1, 0, 0, 1)
-
-
-def moebius_apply(m: MoebiusMap, z):
-    """Functional alias for ``m(z)``."""
-    return m(z)
-
-
 def disc_automorphism(omega: complex, alpha: complex) -> MoebiusMap:
     """The disc automorphism z -> omega * (alpha - z) / (1 - conj(alpha) z).
 
@@ -120,16 +113,16 @@ def disc_automorphism(omega: complex, alpha: complex) -> MoebiusMap:
     """
     omega = complex(omega)
     alpha = complex(alpha)
-    if abs(abs(omega) - 1.0) > 1e-12:
+    if not abs(abs(omega) - 1.0) <= 1e-12:
         raise ValueError(f"omega must be unimodular, |omega| = {abs(omega)!r}")
-    if abs(alpha) >= 1.0:
+    if not abs(alpha) < 1.0:
         raise ValueError(f"alpha must lie in the open disc, |alpha| = {abs(alpha)!r}")
     return MoebiusMap(a=-omega, b=omega * alpha, c=-alpha.conjugate(), d=1.0)
 
 
 @dataclass(frozen=True)
 class Circle:
-    """Circle in the plane with complex ``center`` and positive ``radius``."""
+    """Circle in the plane with finite complex ``center`` and finite positive ``radius``."""
 
     center: complex
     radius: float
@@ -139,6 +132,8 @@ class Circle:
         object.__setattr__(self, "radius", float(self.radius))
         if not self.radius > 0.0:
             raise ValueError(f"radius must be positive, got {self.radius}")
+        if not (cmath.isfinite(self.center) and math.isfinite(self.radius)):
+            raise ValueError(f"center and radius must be finite, got {self.center}, {self.radius}")
 
     @property
     def inside_unit_disc(self) -> bool:

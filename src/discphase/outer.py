@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .blaschke import read_csv, write_csv
 from .errors import EvaluationTooCloseToBoundary, ZeroOnBoundary
 
 _MIN_GRID = 16
@@ -43,39 +44,19 @@ class BoundaryModulus:
         return 2.0 * np.pi * np.arange(self.n) / self.n
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,modulus\n")
-            for t, m in zip(self.angles, self.values):
-                fh.write(f"{float(t)!r},{float(m)!r}\n")
+        write_csv(path, "t,modulus", (self.angles, self.values))
 
     @classmethod
     def from_csv(cls, path) -> "BoundaryModulus":
-        ts: list[float] = []
-        ms: list[float] = []
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "t,modulus":
-                raise ValueError(f"line 1: expected header 't,modulus', got {header!r}")
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                parts = line.strip().split(",")
-                if len(parts) != 2:
-                    raise ValueError(f"line {lineno}: expected 2 fields, got {len(parts)}")
-                try:
-                    ts.append(float(parts[0]))
-                    ms.append(float(parts[1]))
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: {exc}") from exc
-        t = np.asarray(ts)
+        t, ms = read_csv(path, "t,modulus")
         n = len(t)
         if n < _MIN_GRID:
             raise ValueError(f"grid size must be >= {_MIN_GRID}, got {n}")
         expected = 2.0 * np.pi * np.arange(n) / n
         spacing = np.diff(t)
-        if len(spacing) and float(np.abs(spacing - spacing[0]).max()) > 1e-12:
+        if len(spacing) and not float(np.abs(spacing - spacing[0]).max()) <= 1e-12:
             raise ValueError("grid is not uniform (spacing deviates by more than 1e-12)")
-        if float(np.abs(t - expected).max()) > 1e-9:
+        if not float(np.abs(t - expected).max()) <= 1e-9:
             raise ValueError("grid must start at t = 0 with spacing 2 pi / n")
         return cls(ms)
 
@@ -110,11 +91,6 @@ class OuterFunction:
         exponent = kernel @ self.boundary._log / self.boundary.n
         out = np.exp(exponent).reshape(zz.shape)
         return complex(out) if zz.ndim == 0 else out
-
-
-def outer_eval(u: OuterFunction, z):
-    """Functional alias for ``u(z)``."""
-    return u(z)
 
 
 def boundary_modulus_of(func, n: int = 1024) -> BoundaryModulus:

@@ -314,11 +314,6 @@ def modulus_equation(b1: BlaschkeProduct, b2: BlaschkeProduct, r: float) -> Modu
     return ModulusEquation(poly=Polynomial(trimmed), scale=scale, max_coeff=max_coeff)
 
 
-def modulus_equation_poly(b1: BlaschkeProduct, b2: BlaschkeProduct, r: float) -> Polynomial:
-    """The difference polynomial itself (degree <= 2 deg(b1) + 2 deg(b2) - 1)."""
-    return modulus_equation(b1, b2, r).poly
-
-
 def equality_points_on_circle(
     b1: BlaschkeProduct, b2: BlaschkeProduct, r: float, band: float = 1e-8
 ) -> list[complex]:

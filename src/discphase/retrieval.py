@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import logging
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, ModulusSamples, align_constant, dedup_indices
+from .blaschke import BlaschkeProduct, align_constant, dedup_indices
 from .errors import (
     DegreeCapExceeded,
     DiscPhaseError,
@@ -51,6 +51,9 @@ logger = logging.getLogger(__name__)
 #: half-width of the pole separation dead band around [r, 1]
 _POLE_BAND = 0.02
 
+#: a fit with sigma[-2] / sigma[0] below this is flagged rank deficient
+_RANK_RATIO = 1e-8
+
 
 def _check_tolerance(name: str, value: float) -> None:
     # a NaN tolerance makes every "residual > tol" test false and so passes
@@ -63,18 +66,11 @@ def _check_tolerance(name: str, value: float) -> None:
 class RetrievalConfig:
     degree_max: int = 8
     residual_tol: float = 1e-7
-    rank_ratio: float = 1e-8
-    outer_grid_n: int = 1024
 
     def __post_init__(self):
         if self.degree_max < 0:
             raise ValueError("degree_max must be >= 0")
         _check_tolerance("residual_tol", self.residual_tol)
-        _check_tolerance("rank_ratio", self.rank_ratio)
-
-    @property
-    def fit_points_min(self) -> int:
-        return 4 * self.degree_max + 1
 
 
 class ModulusData:
@@ -110,10 +106,6 @@ class ModulusData:
     def __len__(self) -> int:
         return len(self.points)
 
-    @classmethod
-    def from_samples(cls, circle: Circle, samples: ModulusSamples) -> "ModulusData":
-        return cls(circle, samples.points, samples.moduli)
-
 
 def sample_modulus(func, circle: Circle, n: int, phase_offset: float = 0.0) -> ModulusData:
     """Forward measurement model: |func| on an n-point grid of the circle."""
@@ -145,9 +137,7 @@ class ModulusFit:
     radius: float
 
 
-def fit_modulus_rational(
-    data: ModulusData, degree: int, rank_ratio: float = 1e-8
-) -> ModulusFit:
+def fit_modulus_rational(data: ModulusData, degree: int) -> ModulusFit:
     """Fit H = P/Q with deg P, deg Q <= 2*degree to m^2 on the data circle.
 
     Minimizes sum |P(z_k) - m_k^2 Q(z_k)|^2 over unit-norm coefficient
@@ -174,7 +164,7 @@ def fit_modulus_rational(
     x = vh[-1].conjugate()
     residual = float(s[-1]) / np.sqrt(n_samples)
     ratio = float(s[-2] / s[0]) if len(s) >= 2 and s[0] > 0 else 0.0
-    rank_deficient = ratio < rank_ratio
+    rank_deficient = ratio < _RANK_RATIO
     if rank_deficient:
         logger.warning(
             "rational modulus fit at degree %d is rank deficient "
@@ -203,14 +193,14 @@ def fit_modulus_rational(
 
 
 def _recover(
-    data: ModulusData, degree: int, residual_tol: float, rank_ratio: float = 1e-8
+    data: ModulusData, degree: int, residual_tol: float
 ) -> tuple[BlaschkeProduct, ModulusFit, float]:
     if float(data.moduli.min()) < 1e-8:
         raise ZeroOnCircle(
             "moduli vanish on the sampling circle; divide out the zeros "
             "(finitely many) before retrieval"
         )
-    fit = fit_modulus_rational(data, degree, rank_ratio)
+    fit = fit_modulus_rational(data, degree)
     r = fit.radius
     if fit.den_scaled.degree >= 1:
         poles = np.array([r * w for w in poly_roots(fit.den_scaled)])
@@ -261,9 +251,7 @@ def _search_degree(
     failures: list[str] = []
     for degree in range(cap + 1):
         try:
-            b, fit, residual = _recover(
-                data, degree, config.residual_tol, config.rank_ratio
-            )
+            b, fit, residual = _recover(data, degree, config.residual_tol)
             return degree, b, fit, residual
         except (ResidualTooLarge, PoleAmbiguity, NonConvergence) as exc:
             failures.append(f"degree {degree}: {exc}")
@@ -297,18 +285,7 @@ class RetrievalDiagnostics:
     notes: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
-        return {
-            "degree_used": self.degree_used,
-            "fit_residual": self.fit_residual,
-            "residual_T": self.residual_T,
-            "residual_rT": self.residual_rT,
-            "inner_radius": self.inner_radius,
-            "n_samples_T": self.n_samples_T,
-            "n_samples_rT": self.n_samples_rT,
-            "degree_max": self.degree_max,
-            "residual_tol": self.residual_tol,
-            "notes": list(self.notes),
-        }
+        return {**asdict(self), "notes": list(self.notes)}
 
 
 @dataclass
@@ -328,18 +305,8 @@ class RetrievalResult:
     def recompute_residuals(
         self, data_boundary: ModulusData, data_inner: ModulusData
     ) -> tuple[float, float]:
-        nodes = np.exp(1j * self.outer.boundary.angles)
-        res_t = float(
-            np.abs(
-                np.abs(self.blaschke(nodes)) * self.outer.boundary.values
-                - self.outer.boundary.values
-            ).max()
-        )
         u_abs = np.abs(self.outer(data_inner.points))
-        res_r = float(
-            np.abs(np.abs(self.blaschke(data_inner.points)) * u_abs - data_inner.moduli).max()
-        )
-        return res_t, res_r
+        return _residuals(self.blaschke, self.outer.boundary, data_inner, u_abs)
 
     def to_json(self, outer_csv: str | None = None) -> dict:
         if outer_csv is not None:
@@ -358,6 +325,17 @@ class RetrievalResult:
             "degree": self.degree_used,
             "certificate": self.certificate.to_json(),
         }
+
+
+def _residuals(
+    b: BlaschkeProduct, boundary: BoundaryModulus, data_inner: ModulusData, u_abs
+) -> tuple[float, float]:
+    """Max modulus errors of B * u on the unit-circle grid and the inner samples,
+    given ``u_abs`` = |u| there (so the n x n outer evaluation is not repeated)."""
+    nodes = np.exp(1j * boundary.angles)
+    res_t = float(np.abs(np.abs(b(nodes)) * boundary.values - boundary.values).max())
+    res_r = float(np.abs(np.abs(b(data_inner.points)) * u_abs - data_inner.moduli).max())
+    return res_t, res_r
 
 
 def _boundary_from_data(data: ModulusData) -> BoundaryModulus:
@@ -421,13 +399,7 @@ def retrieve_two_circles(
         degree, b, fit, fit_residual = _search_degree(inner_data, config)
 
     with _stage("assemble"):
-        residual_rt = float(
-            np.abs(np.abs(b(data_inner.points)) * u_abs - data_inner.moduli).max()
-        )
-        nodes = np.exp(1j * boundary.angles)
-        residual_t = float(
-            np.abs(np.abs(b(nodes)) * boundary.values - boundary.values).max()
-        )
+        residual_t, residual_rt = _residuals(b, boundary, data_inner, u_abs)
         if max(residual_t, residual_rt) > config.residual_tol:
             raise ResidualTooLarge(
                 f"assembled residuals ({residual_t:.3e}, {residual_rt:.3e}) exceed "
@@ -477,17 +449,7 @@ class EqualityCertificate:
         return self.verdict == "equal_on_circle"
 
     def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "agreeing_count": self.agreeing_count,
-            "bound": self.bound,
-            "n_points": self.n_points,
-            "radius": self.radius,
-            "tol": self.tol,
-            "equation_identically_zero": self.equation_identically_zero,
-            "equation_max_coeff": self.equation_max_coeff,
-            "equation_scale": self.equation_scale,
-        }
+        return asdict(self)
 
 
 def certify_finite_points(

@@ -28,7 +28,7 @@ from discphase import (
     finite_set_pair,
     inverse_points_demo,
     map_circle,
-    modulus_equation_poly,
+    modulus_equation,
     parametrize_pair,
     perpendicular_lines_pair,
     rational_angle_pair,
@@ -130,7 +130,7 @@ def test_acceptance_2_degree_bound():
         b2 = random_blaschke(rng, n_deg)
         r = radii[trial % 3]
         bound = 2 * m_deg + 2 * n_deg - 1
-        d = modulus_equation_poly(b1, b2, r)
+        d = modulus_equation(b1, b2, r).poly
         assert d.degree <= bound
         residual = _independent_top_coefficient_residual(b1, b2, r)
         worst_residual = max(worst_residual, residual)

@@ -22,7 +22,7 @@ from discphase import (
     modulus_samples,
     perpendicular_lines_pair,
 )
-from discphase.blaschke import dedup_indices
+from discphase.blaschke import complex_points, dedup_indices, read_csv, write_csv
 from conftest import random_blaschke
 
 
@@ -54,6 +54,26 @@ def test_construction_rejects_boundary_zeros_and_bad_constant():
         BlaschkeProduct(1.0, (1.0 - 1e-14,))
     with pytest.raises(ValueError):
         BlaschkeProduct(0.7, (0.3,))
+
+
+@pytest.mark.parametrize(
+    "constant, zeros",
+    [
+        (math.nan, (0.3,)),
+        (complex(1.0, math.nan), ()),
+        (1.0, (math.nan,)),
+        (1.0, (complex(0.1, math.inf),)),
+    ],
+)
+def test_construction_rejects_non_finite_constant_and_zeros(constant, zeros):
+    with pytest.raises(ValueError):
+        BlaschkeProduct(constant, zeros)
+
+
+@pytest.mark.parametrize("phase_offset", [math.nan, math.inf])
+def test_circle_grid_rejects_non_finite_phase_offset(phase_offset):
+    with pytest.raises(ValueError, match="phase_offset"):
+        CircleGrid(Circle(0.0, 0.5), 8, phase_offset=phase_offset)
 
 
 def test_maximum_modulus_bound():
@@ -205,6 +225,37 @@ def test_modulus_samples_csv_rejects_bad_header(tmp_path):
     path.write_text("re,im\n0.0,0.0\n")
     with pytest.raises(ValueError, match="line 1"):
         ModulusSamples.from_csv(path)
+
+
+@pytest.mark.parametrize("header", ["t,modulus", "index,re,im,modulus", "re,im"])
+def test_shared_csv_reader_rules(tmp_path, header):
+    names = header.split(",")
+    k = len(names)
+    rows = [[0.25 * i + j for j in range(k)] for i in range(3)]
+    rows[1][-1] = math.inf
+    lines = [",".join(map(repr, row)) for row in rows]
+    path = tmp_path / "data.csv"
+    # blank lines are skipped, the rest are read in file order
+    path.write_text(header + "\n\n" + "\n \n".join(lines) + "\n\n")
+    columns = read_csv(path, header)
+    assert np.array_equal(columns, np.array(rows).T)
+    if "re" in names:
+        re, im = columns[names.index("re")], columns[names.index("im")]
+        expected = [complex(row[names.index("re")], row[names.index("im")]) for row in rows]
+        assert np.array_equal(complex_points(re, im), np.array(expected))
+    out = tmp_path / "out.csv"
+    write_csv(out, header, columns)
+    assert out.read_text() == header + "\n" + "\n".join(lines) + "\n"
+
+    path.write_text("x,y\n" + lines[0] + "\n")
+    with pytest.raises(ValueError, match=rf"^line 1: expected header '{header}', got 'x,y'$"):
+        read_csv(path, header)
+    path.write_text(f"{header}\n{lines[0]}\n\n{lines[1]},1.0\n")
+    with pytest.raises(ValueError, match=rf"^line 4: expected {k} fields, got {k + 1}$"):
+        read_csv(path, header)
+    path.write_text(f"{header}\n{lines[0]}\n" + ",".join(["x"] * k) + "\n")
+    with pytest.raises(ValueError, match="^line 3: could not convert string to float: 'x'$"):
+        read_csv(path, header)
 
 
 # ------------------------------------------------------------------ alignment

@@ -317,6 +317,42 @@ def test_non_finite_tol_is_invalid_input(capsys, tmp_path, blaschke_files, comma
     assert "finite and positive" in rep["error"]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sample", "--f", "{b1}", "--circle", "nan,0,0.5", "--n", "32", "--out", "{out}"],
+        ["sample", "--f", "{b1}", "--circle", "0,0,inf", "--n", "32", "--out", "{out}"],
+        ["sample", "--f", "{b1}", "--circle", "0,0,0.5", "--n", "32", "--phase-offset", "nan",
+         "--out", "{out}"],
+        ["verify", "--f", "{b1}", "--g", "{b3}", "--set", "circle:nan,0,0.5"],
+        ["certify", "--f", "{nan_constant}", "--g", "{b3}", "--r", "0.5", "--points", "16"],
+        ["verify", "--f", "{nan_constant}", "--g", "{b3}", "--set", "circle:0,0,0.5"],
+        ["example", "finite_set", "--alpha", "nan", "--out-dir", "{out_dir}"],
+        ["example", "finite_set", "--r", "nan", "--out-dir", "{out_dir}"],
+        ["example", "right_angle_circles", "--c1", "nan", "--out-dir", "{out_dir}"],
+    ],
+    ids=[
+        "sample-circle-centre", "sample-circle-radius", "sample-phase-offset", "verify-circle",
+        "certify-constant", "verify-constant", "example-alpha", "example-r", "example-c1",
+    ],
+)
+def test_non_finite_numbers_are_invalid_input(capsys, tmp_path, blaschke_files, args):
+    nan_constant = tmp_path / "nan_constant.json"
+    nan_constant.write_text(
+        '{"type": "blaschke", "constant": [NaN, 0.0], "zeros": [[0.3, 0.0]]}'
+    )
+    out = tmp_path / "samples.csv"
+    argv = [
+        a.format(nan_constant=nan_constant, out=out, out_dir=tmp_path / "ex", **blaschke_files)
+        for a in args
+    ]
+    code = main(argv)
+    rep = _strict_json(capsys.readouterr().out)
+    assert code == 2
+    assert rep["status"] == "invalid-input"
+    assert not out.exists()
+
+
 # -------------------------------------------------------------- verify / example
 
 
@@ -350,6 +386,22 @@ def test_verify_file_point_set(capsys, tmp_path):
     )
     assert code == 0
     assert rep["report"]["n_points"] == 3
+
+
+def test_verify_file_errors_name_path_and_line(capsys, tmp_path, blaschke_files):
+    points = tmp_path / "points.csv"
+    for text, message in (
+        ("re,im\n0.5,0.0\n0.0,x\n", "line 3: could not convert string to float: 'x'"),
+        ("re,im\n0.5,0.0,1.0\n", "line 2: expected 2 fields, got 3"),
+        ("x,y\n0.5,0.0\n", "line 1: expected header 're,im', got 'x,y'"),
+    ):
+        points.write_text(text)
+        code, rep, _ = run_cli(
+            capsys, "verify", "--f", blaschke_files["b1"], "--g", blaschke_files["b3"],
+            "--set", f"file:{points}",
+        )
+        assert code == 2
+        assert rep["error"] == f"{points}: {message}"
 
 
 @pytest.mark.parametrize("spec", ["file:{first}", "file:{later}", "segment:nan,0,0.5,0"])

@@ -24,7 +24,6 @@ from discphase import (
     inverse_points_demo,
     perpendicular_lines_pair,
     rational_angle_pair,
-    strip_map_eval,
     two_circle_right_angle_pair,
     verify_equal_modulus,
 )
@@ -132,6 +131,17 @@ def test_finite_set_pair_rejects_matching_seeds():
         finite_set_pair((0.5,), 0.3, u, u.with_constant(1j))
 
 
+@pytest.mark.parametrize(
+    "points, alpha",
+    [((0.5,), math.nan), ((0.5,), complex(0.1, math.inf)), ((math.nan,), 0.3), ((0.5, 2.0), 0.3)],
+)
+def test_finite_set_pair_rejects_bad_alpha_and_points(points, alpha):
+    u = BlaschkeProduct(1.0, (0.2,))
+    v = BlaschkeProduct(1.0, (0.6,))
+    with pytest.raises(ValueError, match="open disc"):
+        finite_set_pair(points, alpha, u, v)
+
+
 # --------------------------------------------------------- right-angle pair
 
 
@@ -143,6 +153,12 @@ def test_right_angle_pair_geometry():
     a = 1j / (3 * SQRT2)
     w = MoebiusMap(1.0, a, 1.0, -a)
     assert w(-a) == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("c1", [math.nan, math.inf])
+def test_right_angle_pair_rejects_non_finite_parameters(c1):
+    with pytest.raises(ValueError, match="finite"):
+        two_circle_right_angle_pair(c1, 3.0)
 
 
 def test_right_angle_pair_equal_modulus_on_both_circles():
@@ -166,10 +182,11 @@ def test_right_angle_pair_witness():
 
 
 def test_strip_map_values():
-    w = strip_map_eval(0.0)
+    s = StripMap()
+    w = s(0.0)
     assert abs(abs(w) - 1.0) < 1e-15  # |i - 1| = |i + 1|
-    assert strip_map_eval(0.5j) == pytest.approx(0.0)  # exp(i pi / 2) = i
-    assert abs(abs(strip_map_eval(1 + 5j)) - 1.0) < 1e-12
+    assert s(0.5j) == pytest.approx(0.0)  # exp(i pi / 2) = i
+    assert abs(abs(s(1 + 5j)) - 1.0) < 1e-12
 
 
 def test_strip_map_unimodular_on_both_edges():
@@ -188,7 +205,7 @@ def test_strip_map_interior_into_disc():
 
 def test_strip_map_pole_marker():
     with pytest.raises(EvaluationAtPole):
-        strip_map_eval(-0.5j)
+        StripMap()(-0.5j)
 
 
 # -------------------------------------------------------------- inverse points

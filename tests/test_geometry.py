@@ -24,7 +24,6 @@ from discphase import (
     inverse_point,
     is_point_at_infinity,
     map_circle,
-    moebius_apply,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -55,9 +54,27 @@ def test_disc_automorphism_rejects_bad_arguments():
         disc_automorphism(0.5, 0.1)
 
 
+@pytest.mark.parametrize(
+    "omega, alpha",
+    [(math.nan, 0.1), (complex(1.0, math.nan), 0.1), (1.0, math.nan), (1.0, math.inf)],
+)
+def test_disc_automorphism_rejects_non_finite_arguments(omega, alpha):
+    with pytest.raises(ValueError):
+        disc_automorphism(omega, alpha)
+
+
+@pytest.mark.parametrize(
+    "center, radius",
+    [(math.nan, 0.5), (complex(0.0, math.inf), 0.5), (0.0, math.inf), (0.0, math.nan)],
+)
+def test_circle_rejects_non_finite_center_and_radius(center, radius):
+    with pytest.raises(ValueError):
+        Circle(center, radius)
+
+
 def test_moebius_apply_identity():
     m = MoebiusMap(1, 0, 0, 1)
-    assert moebius_apply(m, 0.7j) == pytest.approx(0.7j)
+    assert m(0.7j) == pytest.approx(0.7j)
 
 
 def test_moebius_composition_law():

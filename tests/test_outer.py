@@ -8,7 +8,6 @@ from discphase import (
     OuterFunction,
     ZeroOnBoundary,
     boundary_modulus_of,
-    outer_eval,
 )
 from conftest import outer_product_fn, random_outer_coeffs
 
@@ -62,9 +61,9 @@ def test_spectral_convergence_doubling():
     assert np.abs(u1(pts) - u2(pts)).max() <= 1e-10
 
 
-def test_outer_eval_alias_and_radius_cap():
+def test_outer_call_and_radius_cap():
     u = OuterFunction(BoundaryModulus(np.ones(32)), rho_max=0.9)
-    assert outer_eval(u, 0.5) == pytest.approx(1.0)
+    assert u(0.5) == pytest.approx(1.0)
     with pytest.raises(EvaluationTooCloseToBoundary):
         u(0.95)
 
@@ -106,4 +105,13 @@ def test_boundary_csv_rejects_nonuniform_grid(tmp_path):
     rows = ["t,modulus"] + [f"{0.1 * k * k},1.0" for k in range(20)]
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(ValueError, match="uniform"):
+        BoundaryModulus.from_csv(path)
+
+
+def test_boundary_csv_rejects_nan_grid_node(tmp_path):
+    path = tmp_path / "bad.csv"
+    rows = ["t,modulus"] + [f"{2 * np.pi * k / 20!r},1.0" for k in range(20)]
+    rows[4] = "nan,1.0"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match="grid"):
         BoundaryModulus.from_csv(path)

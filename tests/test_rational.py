@@ -9,7 +9,6 @@ from discphase import (
     build_modulus_product,
     equality_points_on_circle,
     modulus_equation,
-    modulus_equation_poly,
     poly_roots,
 )
 from discphase.rational import _cluster_roots
@@ -229,9 +228,9 @@ def test_equation_vanishes_for_rotated_product():
 
 
 def test_equation_small_case_degree_and_nonzero():
-    d = modulus_equation_poly(
+    d = modulus_equation(
         BlaschkeProduct(1.0, (0.3,)), BlaschkeProduct(1.0, (0.5,)), 0.5
-    )
+    ).poly
     assert 1 <= d.degree <= 3
     assert not d.is_zero
 
@@ -248,9 +247,9 @@ def test_equation_small_case_against_symbolic_expansion():
     q2 = sympy.expand((1 - beta * z) * (z - r**2 * beta))
     d_exact = sympy.Poly(sympy.expand(p1 * q2 - p2 * q1), z)
     exact_coeffs = [complex(c) for c in reversed(d_exact.all_coeffs())]
-    d = modulus_equation_poly(
+    d = modulus_equation(
         BlaschkeProduct(1.0, (0.3,)), BlaschkeProduct(1.0, (0.5,)), 0.5
-    )
+    ).poly
     padded = np.zeros(len(exact_coeffs), dtype=complex)
     padded[: len(d.coeffs)] = d.coeffs
     assert np.abs(padded - np.array(exact_coeffs)).max() < 1e-14
@@ -264,7 +263,7 @@ def test_equation_degree_bound_random_pairs():
         b1 = random_blaschke(rng, m_deg)
         b2 = random_blaschke(rng, n_deg)
         r = float(rng.choice([0.3, 0.5, 0.8]))
-        d = modulus_equation_poly(b1, b2, r)
+        d = modulus_equation(b1, b2, r).poly
         assert d.degree <= 2 * m_deg + 2 * n_deg - 1
 
 

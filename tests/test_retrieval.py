@@ -182,7 +182,7 @@ def test_estimate_degree_singular_inner_exceeds_cap():
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-7])
-@pytest.mark.parametrize("field", ["residual_tol", "rank_ratio"])
+@pytest.mark.parametrize("field", ["residual_tol"])
 def test_retrieval_config_requires_finite_positive_tolerances(field, value):
     with pytest.raises(ValueError, match="finite and positive"):
         RetrievalConfig(**{field: value})
