@@ -37,7 +37,9 @@ class BlaschkeProduct:
             raise ValueError(f"constant must be unimodular, |c| = {abs(c)!r}")
         zs = tuple(complex(a) for a in self.zeros)
         for a in zs:
-            if not abs(a) <= _ZERO_MODULUS_CAP:
+            if not np.isfinite(a):
+                raise ValueError(f"zero {a} is not finite")
+            if abs(a) > _ZERO_MODULUS_CAP:
                 raise ValueError(
                     f"zero {a} too close to the unit circle (|a| = {abs(a)!r})"
                 )

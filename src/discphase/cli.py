@@ -1,9 +1,11 @@
 """Command-line interface: JSON reports on stdout, diagnostics on stderr.
 
 Exit codes: 0 success/certified, 1 certification failed or inconclusive,
-2 invalid input, 3 numerical failure.  Reports carry a matching "status"
-field; identical inputs produce byte-identical output (floats are printed
-in shortest round-trip form).
+2 invalid input, 3 numerical failure, 4 internal error (a bug: the
+traceback goes to stderr).  Reports carry a matching "status" field;
+identical inputs produce byte-identical output (floats are printed in
+shortest round-trip form).  The commands raise; ``main`` alone maps an
+exception to its exit code.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +44,6 @@ from .errors import DiscPhaseError, IdenticalCircles
 from .geometry import (
     Circle,
     PairKind,
-    PresumedIrrational,
     RationalMultipleOfPi,
     UNIT_CIRCLE,
     classify_angle,
@@ -59,13 +62,19 @@ EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERNAL = 4
 
 _STATUS = {
     EXIT_OK: "ok",
     EXIT_INCONCLUSIVE: "inconclusive",
     EXIT_INVALID: "invalid-input",
     EXIT_NUMERICAL: "numerical-failure",
+    EXIT_INTERNAL: "internal-error",
 }
+
+#: exceptions that mean the input was bad; any other DiscPhaseError is a
+#: numerical failure (exit 3) and anything else a bug (exit 4)
+_INPUT_ERRORS = (ValueError, KeyError, OSError, IdenticalCircles)
 
 
 def _emit(report: dict, code: int) -> int:
@@ -87,48 +96,34 @@ def _parse_circle(text: str) -> Circle:
     return Circle(complex(cx, cy), r)
 
 
-def _load_expr(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return function_expr_from_json(json.load(fh))
+def _load_expr(path: str, only: str | None = None):
+    """The function descriptor in the JSON file ``path``; ``only`` pins its type.
 
-
-def _load_blaschke(path: str) -> BlaschkeProduct:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if obj.get("type") != "blaschke":
-        raise ValueError(f"{path}: descriptor type {obj.get('type')!r} is not 'blaschke'")
-    return BlaschkeProduct.from_json(obj)
+    A descriptor of the wrong shape (a list, ``"zeros": 5``, ``"k": Infinity``,
+    or nested past the recursion limit) raises ValueError: it is bad input.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+        if only is not None and obj.get("type") != only:
+            raise ValueError(f"{path}: descriptor type {obj.get('type')!r} is not {only!r}")
+        return function_expr_from_json(obj)
+    except (AttributeError, TypeError, IndexError, OverflowError, RecursionError) as exc:
+        raise ValueError(f"{path}: malformed descriptor ({exc})") from exc
 
 
 def _angle_class_json(ac) -> dict:
-    if isinstance(ac, RationalMultipleOfPi):
-        return {
-            "kind": "rational_multiple_of_pi",
-            "p": ac.p,
-            "q": ac.q,
-            "residual": ac.residual,
-        }
-    assert isinstance(ac, PresumedIrrational)
-    return {
-        "kind": "presumed_irrational",
-        "best_q": ac.best_q,
-        "best_residual": ac.best_residual,
-    }
+    rational = isinstance(ac, RationalMultipleOfPi)
+    return {"kind": "rational_multiple_of_pi" if rational else "presumed_irrational", **asdict(ac)}
 
 
 def cmd_classify(args) -> int:
-    try:
-        c1 = _parse_circle(args.c1)
-        c2 = _parse_circle(args.c2)
-    except ValueError as exc:
-        return _fail(EXIT_INVALID, str(exc))
+    c1 = _parse_circle(args.c1)
+    c2 = _parse_circle(args.c2)
     for label, c in (("c1", c1), ("c2", c2)):
         if not c.inside_unit_disc:
-            return _fail(EXIT_INVALID, f"{label} is not contained in the unit disc")
-    try:
-        config = classify_pair(c1, c2)
-    except IdenticalCircles as exc:
-        return _fail(EXIT_INVALID, str(exc))
+            raise ValueError(f"{label} is not contained in the unit disc")
+    config = classify_pair(c1, c2)
     report: dict = {"command": "classify", "configuration": config.kind.value}
     if config.kind is PairKind.INTERSECTING:
         ac = classify_angle(config.angle)
@@ -144,30 +139,20 @@ def cmd_classify(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    try:
-        boundary = BoundaryModulus.from_csv(args.boundary)
-        inner = ModulusSamples.from_csv(args.inner)
-        r = float(args.r)
-        if not 0.0 < r < 1.0:
-            raise ValueError(f"--r must lie in (0, 1), got {r!r}")
-        if len(inner) != boundary.n:
-            raise ValueError(
-                f"grid sizes differ: boundary has {boundary.n} samples, "
-                f"inner circle has {len(inner)}"
-            )
-        data_t = ModulusData(
-            UNIT_CIRCLE, np.exp(1j * boundary.angles), boundary.values
+    boundary = BoundaryModulus.from_csv(args.boundary)
+    inner = ModulusSamples.from_csv(args.inner)
+    r = float(args.r)
+    if not 0.0 < r < 1.0:
+        raise ValueError(f"--r must lie in (0, 1), got {r!r}")
+    if len(inner) != boundary.n:
+        raise ValueError(
+            f"grid sizes differ: boundary has {boundary.n} samples, "
+            f"inner circle has {len(inner)}"
         )
-        data_r = ModulusData(Circle(0.0, r), inner.points, inner.moduli)
-        config = RetrievalConfig(degree_max=args.degree_max, residual_tol=args.tol)
-    except (ValueError, OSError) as exc:
-        return _fail(EXIT_INVALID, str(exc))
-    try:
-        result = retrieve_two_circles(data_t, data_r, config)
-    except DiscPhaseError as exc:
-        return _fail(
-            EXIT_NUMERICAL, str(exc), stage=exc.stage, kind=type(exc).__name__
-        )
+    data_t = ModulusData(UNIT_CIRCLE, np.exp(1j * boundary.angles), boundary.values)
+    data_r = ModulusData(Circle(0.0, r), inner.points, inner.moduli)
+    config = RetrievalConfig(degree_max=args.degree_max, residual_tol=args.tol)
+    result = retrieve_two_circles(data_t, data_r, config)
     outer_csv = None
     if args.out:
         out_path = Path(args.out)
@@ -182,15 +167,12 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    try:
-        b_f = _load_blaschke(args.f)
-        b_g = _load_blaschke(args.g)
-        r = float(args.r)
-        if not 0.0 < r < 1.0:
-            raise ValueError(f"--r must lie in (0, 1), got {r!r}")
-        k = int(args.points)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_INVALID, str(exc))
+    b_f = _load_expr(args.f, only="blaschke")
+    b_g = _load_expr(args.g, only="blaschke")
+    r = float(args.r)
+    if not 0.0 < r < 1.0:
+        raise ValueError(f"--r must lie in (0, 1), got {r!r}")
+    k = int(args.points)
     bound = 2 * b_f.degree + 2 * b_g.degree - 1
     if k <= bound:
         return _fail(
@@ -200,12 +182,7 @@ def cmd_certify(args) -> int:
             bound=bound,
         )
     pts = r * np.exp(2j * np.pi * np.arange(k) / k)
-    try:
-        cert = certify_finite_points(b_f, b_g, pts, tol=args.tol)
-    except ValueError as exc:
-        return _fail(EXIT_INVALID, str(exc))
-    except DiscPhaseError as exc:
-        return _fail(EXIT_NUMERICAL, str(exc), kind=type(exc).__name__)
+    cert = certify_finite_points(b_f, b_g, pts, tol=args.tol)
     report = {"command": "certify", "certificate": cert.to_json()}
     return _emit(report, EXIT_OK if cert.equal_on_circle else EXIT_INCONCLUSIVE)
 
@@ -232,36 +209,22 @@ def _parse_point_set(spec: str, n: int):
 
 
 def cmd_verify(args) -> int:
-    try:
-        f = _load_expr(args.f)
-        g = _load_expr(args.g)
-        point_set = _parse_point_set(args.set, args.n)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
-        return _fail(EXIT_INVALID, str(exc))
-    try:
-        rep = verify_equal_modulus(f, g, point_set, tol=args.tol)
-    except ValueError as exc:
-        return _fail(EXIT_INVALID, str(exc))
-    except DiscPhaseError as exc:
-        return _fail(EXIT_NUMERICAL, str(exc), kind=type(exc).__name__)
+    f = _load_expr(args.f)
+    g = _load_expr(args.g)
+    point_set = _parse_point_set(args.set, args.n)
+    rep = verify_equal_modulus(f, g, point_set, tol=args.tol)
     report = {"command": "verify", "report": rep.to_json()}
     return _emit(report, EXIT_OK if rep.within_tol else EXIT_INCONCLUSIVE)
 
 
 def cmd_sample(args) -> int:
-    try:
-        f = _load_expr(args.f)
-        circle = _parse_circle(args.circle)
-        n = int(args.n)
-        if n < 1:
-            raise ValueError("--n must be positive")
-        grid = CircleGrid(circle, n, phase_offset=args.phase_offset)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
-        return _fail(EXIT_INVALID, str(exc))
-    try:
-        samples = modulus_samples(f, grid)
-    except DiscPhaseError as exc:
-        return _fail(EXIT_NUMERICAL, str(exc), kind=type(exc).__name__)
+    f = _load_expr(args.f)
+    circle = _parse_circle(args.circle)
+    n = int(args.n)
+    if n < 1:
+        raise ValueError("--n must be positive")
+    grid = CircleGrid(circle, n, phase_offset=args.phase_offset)
+    samples = modulus_samples(f, grid)
     is_boundary_grid = (
         abs(circle.center) == 0.0 and circle.radius == 1.0 and args.phase_offset == 0.0
     )
@@ -306,83 +269,74 @@ def _unimodularity(expr, grid) -> dict:
 
 def cmd_example(args) -> int:
     out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        return _fail(EXIT_INVALID, str(exc))
+    out_dir.mkdir(parents=True, exist_ok=True)
     name = args.name
     n = 512
-    try:
-        if name == "perpendicular_lines" or name == "rational_angle":
-            if name == "perpendicular_lines":
-                k, f, g = 2, *perpendicular_lines_pair()
-            else:
-                k = args.k
-                f, g = rational_angle_pair(k, args.c1, args.c2)
-            sets = {
-                f"line_{m}": LineSegmentGrid(
-                    -0.9 * np.exp(1j * np.pi * m / k), 0.9 * np.exp(1j * np.pi * m / k), n
-                )
-                for m in range(k)
-            }
-            extra = _pair_verification(f, g, sets, CircleGrid(Circle(0.0, 0.5), n))
-            pair = (f, g)
-        elif name == "finite_set":
-            r = args.r
-            xs = tuple(r * np.exp(2j * np.pi * np.arange(args.n_x) / args.n_x))
-            u = BlaschkeProduct(1.0, (0.2,))
-            v = BlaschkeProduct(1.0, (0.6,))
-            f, g = finite_set_pair(xs, args.alpha, u, v)
-            extra = _pair_verification(
-                f, g, {"unit_circle": CircleGrid(UNIT_CIRCLE, n)}, CircleGrid(Circle(0.0, 0.5), n)
-            )
-            alpha = complex(args.alpha)
-            extra["finite_set"] = {
-                "points": [[x.real, x.imag] for x in xs],
-                "max_value_deviation": max(
-                    float(abs(f(x) - alpha)) for x in xs
-                )
-                + max(float(abs(g(x) - alpha)) for x in xs),
-            }
-            pair = (f, g)
-        elif name == "right_angle_circles":
-            built = two_circle_right_angle_pair(args.c1, args.c2)
-            sets = {
-                "circle1": CircleGrid(built.circle1, n),
-                "circle2": CircleGrid(built.circle2, n),
-            }
-            extra = _pair_verification(built.f, built.g, sets, CircleGrid(Circle(0.0, 0.45), n))
-            extra["circles"] = [built.circle1.to_json(), built.circle2.to_json()]
-            extra["base_angle"] = built.base_angle
-            pair = (built.f, built.g)
-        elif name == "strip":
-            strip = StripMap()
-            edge0 = ExplicitPoints(tuple(np.linspace(-3.0, 3.0, n).astype(complex)))
-            edge1 = ExplicitPoints(tuple(1j + np.linspace(-3.0, 3.0, n)))
-            interior = ExplicitPoints(
-                tuple(
-                    complex(x, y)
-                    for y in 0.1 + 0.8 * np.arange(24) / 24
-                    for x in np.linspace(-2.0, 2.0, 21)
-                )
-            )
-            inside = np.abs(strip(interior.points()))
-            extra = {
-                "edge_im0": _unimodularity(strip, edge0),
-                "edge_im1": _unimodularity(strip, edge1),
-                "interior_max_modulus": float(inside.max()),
-                "maps_strip_into_disc": bool(inside.max() < 1.0),
-            }
-            pair = (strip, None)
-        elif name == "inverse_points":
-            rep = inverse_points_demo(n_samples=n)
-            extra = {"report": rep.to_json()}
-            pair = (None, None)
+    if name == "perpendicular_lines" or name == "rational_angle":
+        if name == "perpendicular_lines":
+            k, f, g = 2, *perpendicular_lines_pair()
         else:
-            return _fail(EXIT_INVALID, f"unknown example {name!r}")
-    except (ValueError, DiscPhaseError) as exc:
-        code = EXIT_INVALID if isinstance(exc, ValueError) else EXIT_NUMERICAL
-        return _fail(code, str(exc))
+            k = args.k
+            f, g = rational_angle_pair(k, args.c1, args.c2)
+        sets = {
+            f"line_{m}": LineSegmentGrid(
+                -0.9 * np.exp(1j * np.pi * m / k), 0.9 * np.exp(1j * np.pi * m / k), n
+            )
+            for m in range(k)
+        }
+        extra = _pair_verification(f, g, sets, CircleGrid(Circle(0.0, 0.5), n))
+        pair = (f, g)
+    elif name == "finite_set":
+        r = args.r
+        xs = tuple(r * np.exp(2j * np.pi * np.arange(args.n_x) / args.n_x))
+        u = BlaschkeProduct(1.0, (0.2,))
+        v = BlaschkeProduct(1.0, (0.6,))
+        f, g = finite_set_pair(xs, args.alpha, u, v)
+        extra = _pair_verification(
+            f, g, {"unit_circle": CircleGrid(UNIT_CIRCLE, n)}, CircleGrid(Circle(0.0, 0.5), n)
+        )
+        alpha = complex(args.alpha)
+        extra["finite_set"] = {
+            "points": [[x.real, x.imag] for x in xs],
+            "max_value_deviation": max(float(abs(f(x) - alpha)) for x in xs)
+            + max(float(abs(g(x) - alpha)) for x in xs),
+        }
+        pair = (f, g)
+    elif name == "right_angle_circles":
+        built = two_circle_right_angle_pair(args.c1, args.c2)
+        sets = {
+            "circle1": CircleGrid(built.circle1, n),
+            "circle2": CircleGrid(built.circle2, n),
+        }
+        extra = _pair_verification(built.f, built.g, sets, CircleGrid(Circle(0.0, 0.45), n))
+        extra["circles"] = [built.circle1.to_json(), built.circle2.to_json()]
+        extra["base_angle"] = built.base_angle
+        pair = (built.f, built.g)
+    elif name == "strip":
+        strip = StripMap()
+        edge0 = ExplicitPoints(tuple(np.linspace(-3.0, 3.0, n).astype(complex)))
+        edge1 = ExplicitPoints(tuple(1j + np.linspace(-3.0, 3.0, n)))
+        interior = ExplicitPoints(
+            tuple(
+                complex(x, y)
+                for y in 0.1 + 0.8 * np.arange(24) / 24
+                for x in np.linspace(-2.0, 2.0, 21)
+            )
+        )
+        inside = np.abs(strip(interior.points()))
+        extra = {
+            "edge_im0": _unimodularity(strip, edge0),
+            "edge_im1": _unimodularity(strip, edge1),
+            "interior_max_modulus": float(inside.max()),
+            "maps_strip_into_disc": bool(inside.max() < 1.0),
+        }
+        pair = (strip, None)
+    elif name == "inverse_points":
+        rep = inverse_points_demo(n_samples=n)
+        extra = {"report": rep.to_json()}
+        pair = (None, None)
+    else:
+        raise ValueError(f"unknown example {name!r}")
 
     written = []
     for label, expr in zip(("f", "g"), pair):
@@ -472,9 +426,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except _INPUT_ERRORS as exc:
+        return _fail(EXIT_INVALID, str(exc))
+    except DiscPhaseError as exc:
+        stage = {"stage": exc.stage} if exc.stage else {}
+        return _fail(EXIT_NUMERICAL, str(exc), **stage, kind=type(exc).__name__)
+    except Exception as exc:
+        traceback.print_exc()
+        return _fail(EXIT_INTERNAL, str(exc), kind=type(exc).__name__)
 
 
 if __name__ == "__main__":

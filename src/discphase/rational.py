@@ -157,15 +157,9 @@ class RationalFunction:
         rather than silent.
         """
         zs = [complex(z) for z in zeros]
-        ps = [complex(p) for p in poles]
-        kept_z: list[complex] = []
-        for z in zs:
-            hit = next((j for j, p in enumerate(ps) if abs(z - p) <= 1e-10), None)
-            if hit is None:
-                kept_z.append(z)
-            else:
-                logger.info("cancelling zero/pole pair at %s (distance %.2e)", z, abs(z - ps[hit]))
-                ps.pop(hit)
+        kept_z, ps = cancel_common(zs, [complex(p) for p in poles], 1e-10)
+        if len(kept_z) < len(zs):
+            logger.info("cancelling %d zero/pole pair(s) within 1e-10", len(zs) - len(kept_z))
         return cls(
             Polynomial.from_roots(kept_z, leading=scale), Polynomial.from_roots(ps)
         )
@@ -178,6 +172,20 @@ class RationalFunction:
         if obj.get("type") != "rational":
             raise ValueError(f"not a rational descriptor: {obj.get('type')!r}")
         return cls(Polynomial.from_json(obj["num"]), Polynomial.from_json(obj["den"]))
+
+
+def cancel_common(first: list, second: list, tol: float) -> tuple[list, list]:
+    """Both lists less their matched pairs: in order, each item of ``first``
+    cancels the first remaining item of ``second`` within ``tol``."""
+    kept: list = []
+    pool = list(second)
+    for z in first:
+        hit = next((j for j, w in enumerate(pool) if abs(z - w) <= tol), None)
+        if hit is None:
+            kept.append(z)
+        else:
+            pool.pop(hit)
+    return kept, pool
 
 
 def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:

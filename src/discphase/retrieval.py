@@ -44,7 +44,7 @@ from .errors import (
 )
 from .geometry import Circle
 from .outer import BoundaryModulus, OuterFunction
-from .rational import Polynomial, RationalFunction, modulus_equation, poly_roots
+from .rational import Polynomial, RationalFunction, cancel_common, modulus_equation, poly_roots
 
 logger = logging.getLogger(__name__)
 
@@ -302,9 +302,9 @@ class RetrievalResult:
     def __call__(self, z):
         return self.blaschke(z) * self.outer(z)
 
-    def recompute_residuals(
-        self, data_boundary: ModulusData, data_inner: ModulusData
-    ) -> tuple[float, float]:
+    def recompute_residuals(self, data_inner: ModulusData) -> tuple[float, float]:
+        """Residuals of B * u: on the outer factor's own unit-circle grid (the
+        boundary data it was built from) and on the given inner samples."""
         u_abs = np.abs(self.outer(data_inner.points))
         return _residuals(self.blaschke, self.outer.boundary, data_inner, u_abs)
 
@@ -499,18 +499,6 @@ def certify_finite_points(
     )
 
 
-def _cancel_common(first: list[complex], second: list[complex], tol: float = 1e-9):
-    kept_first: list[complex] = []
-    pool = list(second)
-    for z in first:
-        hit = next((j for j, w in enumerate(pool) if abs(z - w) <= tol), None)
-        if hit is None:
-            kept_first.append(z)
-        else:
-            pool.pop(hit)
-    return kept_first, pool
-
-
 def parametrize_pair(
     f: RationalFunction, g: RationalFunction, r: float
 ) -> tuple[BlaschkeProduct, BlaschkeProduct]:
@@ -541,7 +529,7 @@ def parametrize_pair(
         )
     b1_raw = [w for w in (*zeros_g, *poles_f) if abs(w) < r]
     b2_raw = [w for w in (*zeros_f, *poles_g) if abs(w) < r]
-    b1_kept, b2_kept = _cancel_common(b1_raw, b2_raw)
+    b1_kept, b2_kept = cancel_common(b1_raw, b2_raw, 1e-9)
     b1 = BlaschkeProduct(1.0, tuple(w / r for w in b1_kept))
     b2_base = BlaschkeProduct(1.0, tuple(w / r for w in b2_kept))
     grid = 0.5 * r * np.exp(2j * np.pi * np.arange(64) / 64)

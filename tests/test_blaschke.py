@@ -63,10 +63,14 @@ def test_construction_rejects_boundary_zeros_and_bad_constant():
         (complex(1.0, math.nan), ()),
         (1.0, (math.nan,)),
         (1.0, (complex(0.1, math.inf),)),
+        (1.0, (0.2, math.inf)),
+        (1.0, (complex(math.nan, 0.0), 0.2)),
     ],
 )
 def test_construction_rejects_non_finite_constant_and_zeros(constant, zeros):
-    with pytest.raises(ValueError):
+    # a non-finite zero is named as such, not as one too close to the circle
+    zeros_finite = np.isfinite(np.asarray(zeros, dtype=complex)).all()
+    with pytest.raises(ValueError, match=None if zeros_finite else "is not finite"):
         BlaschkeProduct(constant, zeros)
 
 

@@ -353,6 +353,72 @@ def test_non_finite_numbers_are_invalid_input(capsys, tmp_path, blaschke_files, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["certify", "--f", "{as_list}", "--g", "{b3}", "--r", "0.5", "--points", "16"],
+        ["verify", "--f", "{as_list}", "--g", "{b3}", "--set", "circle:0,0,0.5"],
+        ["certify", "--f", "{no_fields}", "--g", "{b3}", "--r", "0.5", "--points", "16"],
+        ["certify", "--f", "{int_zeros}", "--g", "{b3}", "--r", "0.5", "--points", "16"],
+        ["verify", "--f", "{int_zeros}", "--g", "{b3}", "--set", "circle:0,0,0.5"],
+        ["verify", "--f", "{int_factors}", "--g", "{b3}", "--set", "circle:0,0,0.5"],
+        ["verify", "--f", "{infinite_power}", "--g", "{b3}", "--set", "circle:0,0,0.5"],
+        ["verify", "--f", "{deep}", "--g", "{b3}", "--set", "circle:0,0,0.5"],
+        ["sample", "--f", "{b1}", "--circle", "0,0,0.5", "--n", "32", "--out", "{no_dir}/x.csv"],
+        ["retrieve", "--boundary", "{boundary}", "--inner", "{inner}", "--r", "0.5",
+         "--out", "{no_dir}/r.json"],
+    ],
+    ids=[
+        "certify-list", "verify-list", "certify-no-fields", "certify-int-zeros",
+        "verify-int-zeros", "verify-int-factors", "verify-infinite-power", "verify-deep",
+        "sample-out-dir", "retrieve-out-dir",
+    ],
+)
+def test_malformed_descriptors_and_paths_are_invalid_input(
+    capsys, tmp_path, blaschke_files, args
+):
+    inner = {"type": "rational", "num": {"type": "poly", "coeffs": [[1, 0]]},
+             "den": {"type": "poly", "coeffs": [[2, 0]]}}
+    descriptors = {
+        "as_list": json.dumps([1, 2]),
+        "no_fields": json.dumps({"type": "blaschke"}),
+        "int_zeros": json.dumps({"type": "blaschke", "constant": [1, 0], "zeros": 5}),
+        "int_factors": json.dumps({"type": "product", "factors": 7}),
+        "infinite_power": json.dumps({"type": "power_composite", "k": math.inf, "inner": inner}),
+        "deep": "[" * 100_000,  # nested past the recursion limit
+    }
+    paths = {"no_dir": tmp_path / "missing", **blaschke_files}
+    for name, text in descriptors.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    for name, circle in (("boundary", "0,0,1"), ("inner", "0,0,0.5")):
+        paths[name] = tmp_path / f"{name}.csv"
+        main(["sample", "--f", blaschke_files["b1"], "--circle", circle, "--n", "64",
+              "--out", str(paths[name])])
+    capsys.readouterr()
+    code = main([a.format(**paths) for a in args])
+    rep = _strict_json(capsys.readouterr().out)
+    assert code == 2
+    assert rep["status"] == "invalid-input"
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("top coefficient failed to cancel")
+
+    monkeypatch.setattr("discphase.cli.cmd_classify", broken)
+    code = main(["classify", "--c1=0,0,0.8", "--c2=0,0,0.2"])
+    captured = capsys.readouterr()
+    rep = _strict_json(captured.out)
+    assert code == 4
+    assert rep == {
+        "status": "internal-error",
+        "error": "top coefficient failed to cancel",
+        "kind": "RuntimeError",
+    }
+    assert "Traceback (most recent call last)" in captured.err
+
+
 # -------------------------------------------------------------- verify / example
 
 

@@ -271,7 +271,7 @@ def test_retrieve_result_residuals_recompute():
     data_t = sample_modulus(f, UNIT_CIRCLE, 128)
     data_r = sample_modulus(f, Circle(0.0, 0.5), 128)
     result = retrieve_two_circles(data_t, data_r)
-    res_t, res_r = result.recompute_residuals(data_t, data_r)
+    res_t, res_r = result.recompute_residuals(data_r)
     assert res_t == pytest.approx(result.residual_T, abs=1e-15)
     assert res_r == pytest.approx(result.residual_rT, abs=1e-15)
 
