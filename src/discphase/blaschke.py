@@ -261,7 +261,11 @@ class ModulusSamples:
 
 
 def modulus_samples(func, point_set: PointSet) -> ModulusSamples:
-    """Sample |func| on a point set, reporting the offending index on failure."""
+    """Sample |func| on a point set, reporting the offending index on failure.
+
+    A non-finite modulus (the set passes through a pole) raises
+    EvaluationAtPole.
+    """
     pts = point_set.points()
     try:
         values = func(pts)
@@ -273,7 +277,12 @@ def modulus_samples(func, point_set: PointSet) -> ModulusSamples:
             except Exception as exc:
                 raise type(exc)(f"evaluation failed at point index {k} ({p}): {exc}") from exc
         raise
-    return ModulusSamples(pts, np.abs(np.asarray(values, dtype=complex)))
+    moduli = np.abs(np.asarray(values, dtype=complex))
+    bad = np.flatnonzero(~np.isfinite(moduli))
+    if len(bad):
+        k = int(bad[0])
+        raise EvaluationAtPole(f"evaluation is not finite at point index {k} ({complex(pts[k])})")
+    return ModulusSamples(pts, moduli)
 
 
 def align_constant(fvals, gvals) -> complex:
@@ -292,23 +301,28 @@ def align_constant(fvals, gvals) -> complex:
     return complex(s / abs(s))
 
 
-def equal_up_to_unimodular(
-    b1: BlaschkeProduct, b2: BlaschkeProduct, tol: float = 1e-9
-) -> complex | None:
+def cancel_common(first, second, tol: float) -> tuple[list, list]:
+    """Both lists less their matched pairs: in order, each item of ``first``
+    cancels the first remaining item of ``second`` within ``tol``."""
+    kept: list = []
+    pool = list(second)
+    for z in first:
+        hit = next((j for j, w in enumerate(pool) if abs(z - w) <= tol), None)
+        if hit is None:
+            kept.append(z)
+        else:
+            pool.pop(hit)
+    return kept, pool
+
+
+def equal_up_to_unimodular(b1: BlaschkeProduct, b2: BlaschkeProduct) -> complex | None:
     """Return lambda with b1 = lambda * b2 if zero multisets match, else None.
 
-    Matching is greedy nearest-pair at tolerance ``tol``; good for the
-    well-separated zero sets that arise here, approximate for clustered ones.
+    Zeros are matched first-come at distance 1e-9 (``cancel_common``); good
+    for the well-separated zero sets that arise here, approximate for
+    clustered ones.
     """
-    if b1.degree != b2.degree:
+    unmatched, rest = cancel_common(b1.zeros, b2.zeros, 1e-9)
+    if unmatched or rest:
         return None
-    remaining = list(b2.zeros)
-    for a in b1.zeros:
-        if not remaining:
-            return None
-        dists = [abs(a - b) for b in remaining]
-        j = int(np.argmin(dists))
-        if dists[j] > tol:
-            return None
-        remaining.pop(j)
     return b1.constant / b2.constant

@@ -18,7 +18,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct, equal_up_to_unimodular
 from .errors import EvaluationAtPole, UEqualsV
-from .geometry import Circle, Line, MoebiusMap, disc_automorphism, map_circle
+from .geometry import _MAX_DENOMINATOR, Circle, Line, MoebiusMap, disc_automorphism, map_circle
 from .rational import Polynomial, RationalFunction
 
 _MAX_DEPTH = 8
@@ -208,10 +208,14 @@ def rational_angle_pair(
 
     f = (z^k - c1 i) / (z^k + c1 i) and the same with c2: on every line
     through 0 at angle m pi / k the power z^k is real, so both factors are
-    unimodular there, yet f is not a constant multiple of g.
+    unimodular there, yet f is not a constant multiple of g.  ``k`` is at
+    most 64, the largest denominator ``classify_angle`` recognises, so the
+    classifier calls every pair of these lines non-unique.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
+    if k > _MAX_DENOMINATOR:
+        raise ValueError(f"k must be <= {_MAX_DENOMINATOR}, got {k}")
     if not (c1 > 0 and c2 > 0):
         raise ValueError("c1 and c2 must be positive")
     if c1 == c2:
@@ -240,12 +244,14 @@ def finite_set_pair(
     ``alpha`` at every x, is unimodular on the unit circle, and is not
     related by a unimodular constant as long as u and v are not.
     """
-    if equal_up_to_unimodular(u, v, tol=1e-9) is not None:
+    if equal_up_to_unimodular(u, v) is not None:
         raise UEqualsV("u and v coincide up to a unimodular constant")
     alpha = complex(alpha)
     if not abs(alpha) < 1.0:
         raise ValueError("alpha must lie in the open disc")
     xs = tuple(complex(x) for x in x_points)
+    if not xs:
+        raise ValueError("x_points must not be empty")
     if not all(abs(x) < 1.0 for x in xs):
         raise ValueError("x_points must lie in the open disc")
     b = BlaschkeProduct(1.0, xs)

@@ -28,6 +28,9 @@ from .errors import (
 #: marker returned by :func:`inverse_point` for the centre of inversion
 POINT_AT_INFINITY = complex(math.inf, math.inf)
 
+#: largest denominator q for which classify_angle reports theta = p pi / q
+_MAX_DENOMINATOR = 64
+
 
 def is_point_at_infinity(z: complex) -> bool:
     return math.isinf(complex(z).real) or math.isinf(complex(z).imag)
@@ -38,8 +41,8 @@ class MoebiusMap:
     """The fractional linear map z -> (a z + b) / (c z + d).
 
     Coefficients are normalized on construction so the largest one has
-    modulus 1 (the map itself is unchanged); a map with vanishing
-    determinant is rejected.
+    modulus 1 (the map itself is unchanged); a map with a non-finite
+    coefficient or a vanishing determinant is rejected.
     """
 
     a: complex
@@ -51,6 +54,9 @@ class MoebiusMap:
         coeffs = np.array(
             [complex(self.a), complex(self.b), complex(self.c), complex(self.d)]
         )
+        for name, value in zip("abcd", coeffs):
+            if not cmath.isfinite(value):
+                raise ValueError(f"Moebius coefficient {name} = {value} is not finite")
         scale = np.abs(coeffs).max()
         if scale == 0.0:
             raise ValueError("all Moebius coefficients are zero")
@@ -374,15 +380,13 @@ def intersection_angle(c1: Circle, c2: Circle) -> float:
     return config.angle
 
 
-def classify_angle(
-    theta: float, max_denominator: int = 64, tol: float = 1e-9
-) -> AngleClass:
+def classify_angle(theta: float) -> AngleClass:
     """Decide numerically whether theta is a rational multiple of pi.
 
     Expands theta/pi in a continued fraction and accepts the best
-    convergent with denominator <= ``max_denominator`` if it lies within
-    ``tol``; otherwise reports that convergent's denominator and residual
-    as the evidence for presumed irrationality.
+    convergent with denominator <= 64 if it lies within 1e-9; otherwise
+    reports that convergent's denominator and residual as the evidence for
+    presumed irrationality.
     """
     if not 0.0 < theta <= math.pi + 1e-15:
         raise ValueError(f"theta must lie in (0, pi], got {theta!r}")
@@ -393,7 +397,7 @@ def classify_angle(
     frac = x - int(x)
     convergents = [(h, k)]
     for _ in range(64):
-        if frac < 1e-15 or k > max_denominator:
+        if frac < 1e-15 or k > _MAX_DENOMINATOR:
             break
         a = int(1.0 / frac)
         frac = 1.0 / frac - a
@@ -402,12 +406,12 @@ def classify_angle(
         convergents.append((h, k))
     best_p, best_q, best_err = 0, 1, abs(x)
     for p, q in convergents:
-        if q > max_denominator:
+        if q > _MAX_DENOMINATOR:
             continue
         err = abs(x - p / q)
         if err < best_err:
             best_p, best_q, best_err = p, q, err
-    if best_err <= tol and best_p > 0:
+    if best_err <= 1e-9 and best_p > 0:
         return RationalMultipleOfPi(p=best_p, q=best_q, residual=best_err)
     return PresumedIrrational(best_q=best_q, best_residual=best_err)
 

@@ -7,7 +7,7 @@ the associated outer function is
 
 discretized by the uniform trapezoid rule, which is spectrally accurate for
 smooth periodic log-modulus.  u has no zeros in the disc, u(0) > 0, and
-|u| has boundary values m.  Evaluation is trusted only up to ``rho_max``:
+|u| has boundary values m.  Evaluation is trusted only up to |z| = 0.99:
 the kernel amplifies the quadrature error like 1/(1 - |z|).
 """
 
@@ -19,6 +19,9 @@ from .blaschke import read_csv, write_csv
 from .errors import EvaluationTooCloseToBoundary, ZeroOnBoundary
 
 _MIN_GRID = 16
+
+#: largest |z| at which the outer function is evaluated
+_RHO_MAX = 0.99
 
 
 class BoundaryModulus:
@@ -62,15 +65,12 @@ class BoundaryModulus:
 
 
 class OuterFunction:
-    """Outer function with the given boundary modulus; callable on |z| <= rho_max."""
+    """Outer function with the given boundary modulus; callable on |z| <= 0.99."""
 
-    __slots__ = ("boundary", "rho_max", "_nodes")
+    __slots__ = ("boundary", "_nodes")
 
-    def __init__(self, boundary: BoundaryModulus, rho_max: float = 0.99):
-        if not 0.0 < rho_max < 1.0:
-            raise ValueError(f"rho_max must lie in (0, 1), got {rho_max!r}")
+    def __init__(self, boundary: BoundaryModulus):
         self.boundary = boundary
-        self.rho_max = rho_max
         self._nodes = np.exp(1j * boundary.angles)
 
     @property
@@ -80,11 +80,9 @@ class OuterFunction:
     def __call__(self, z):
         """Evaluate the Schwarz-integral exponential at scalar or array z."""
         zz = np.asarray(z, dtype=complex)
-        if np.any(np.abs(zz) > self.rho_max):
+        if np.any(np.abs(zz) > _RHO_MAX):
             worst = float(np.abs(zz).max())
-            raise EvaluationTooCloseToBoundary(
-                f"|z| = {worst!r} exceeds rho_max = {self.rho_max!r}"
-            )
+            raise EvaluationTooCloseToBoundary(f"|z| = {worst!r} exceeds rho_max = {_RHO_MAX!r}")
         flat = zz.ravel()
         nodes = self._nodes[None, :]
         kernel = (nodes + flat[:, None]) / (nodes - flat[:, None])

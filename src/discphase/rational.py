@@ -20,13 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct
+from .blaschke import BlaschkeProduct, cancel_common
 from .errors import AllOfCircle, NonConvergence
 
 logger = logging.getLogger(__name__)
 
 _TRIM_REL = 1e-14
 
+#: roots closer than this to the first root of their cluster are merged
+_CLUSTER_TOL = 1e-8
 
 class Polynomial:
     """Dense complex polynomial, coefficients in ascending degree order.
@@ -150,8 +152,8 @@ class RationalFunction:
         return poly_roots(self.den) if self.den.degree >= 1 else []
 
     @classmethod
-    def from_zeros_poles(cls, zeros, poles, scale: complex = 1.0) -> "RationalFunction":
-        """Build scale * prod(z - zero) / prod(z - pole), cancelling shared roots.
+    def from_zeros_poles(cls, zeros, poles) -> "RationalFunction":
+        """Build prod(z - zero) / prod(z - pole), cancelling shared roots.
 
         Zero/pole pairs closer than 1e-10 cancel; cancellations are logged
         rather than silent.
@@ -160,9 +162,7 @@ class RationalFunction:
         kept_z, ps = cancel_common(zs, [complex(p) for p in poles], 1e-10)
         if len(kept_z) < len(zs):
             logger.info("cancelling %d zero/pole pair(s) within 1e-10", len(zs) - len(kept_z))
-        return cls(
-            Polynomial.from_roots(kept_z, leading=scale), Polynomial.from_roots(ps)
-        )
+        return cls(Polynomial.from_roots(kept_z), Polynomial.from_roots(ps))
 
     def to_json(self) -> dict:
         return {"type": "rational", "num": self.num.to_json(), "den": self.den.to_json()}
@@ -172,20 +172,6 @@ class RationalFunction:
         if obj.get("type") != "rational":
             raise ValueError(f"not a rational descriptor: {obj.get('type')!r}")
         return cls(Polynomial.from_json(obj["num"]), Polynomial.from_json(obj["den"]))
-
-
-def cancel_common(first: list, second: list, tol: float) -> tuple[list, list]:
-    """Both lists less their matched pairs: in order, each item of ``first``
-    cancels the first remaining item of ``second`` within ``tol``."""
-    kept: list = []
-    pool = list(second)
-    for z in first:
-        hit = next((j for j, w in enumerate(pool) if abs(z - w) <= tol), None)
-        if hit is None:
-            kept.append(z)
-        else:
-            pool.pop(hit)
-    return kept, pool
 
 
 def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -230,14 +216,14 @@ def _cluster_roots(roots: np.ndarray, tol: float) -> list[complex]:
     return out
 
 
-def poly_roots(p: Polynomial, cluster_tol: float = 1e-8) -> list[complex]:
+def poly_roots(p: Polynomial) -> list[complex]:
     """All roots of ``p`` as a multiset (cluster representatives repeated).
 
     The roots are the eigenvalues of the balanced companion matrix
     (``np.roots``; backward stable, Edelman & Murakami 1995), refined by
     three Newton sweeps.  Every root must then satisfy
     |p(root)| <= 1e-9 * max|coeff| * max(1, |root|)^deg, or NonConvergence
-    is raised.  Roots within ``cluster_tol`` of the first root of their
+    is raised.  Roots within 1e-8 of the first root of their
     cluster (in real-then-imaginary order) are replaced by the cluster mean.
     """
     if p.degree < 1 or p.is_zero:
@@ -250,7 +236,7 @@ def poly_roots(p: Polynomial, cluster_tol: float = 1e-8) -> list[complex]:
     bound = 1e-9 * float(np.abs(coeffs).max()) * np.maximum(1.0, np.abs(roots)) ** p.degree
     if not np.all(vals <= bound):
         raise NonConvergence(f"root residuals too large: max |p(root)| = {vals.max():.3e}")
-    return _cluster_roots(roots, cluster_tol)
+    return _cluster_roots(roots, _CLUSTER_TOL)
 
 
 def build_modulus_product(b: BlaschkeProduct, r: float) -> RationalFunction:
@@ -322,12 +308,10 @@ def modulus_equation(b1: BlaschkeProduct, b2: BlaschkeProduct, r: float) -> Modu
     return ModulusEquation(poly=Polynomial(trimmed), scale=scale, max_coeff=max_coeff)
 
 
-def equality_points_on_circle(
-    b1: BlaschkeProduct, b2: BlaschkeProduct, r: float, band: float = 1e-8
-) -> list[complex]:
+def equality_points_on_circle(b1: BlaschkeProduct, b2: BlaschkeProduct, r: float) -> list[complex]:
     """Points of the centred radius-``r`` circle where |b1| = |b2|.
 
-    These are the difference-polynomial roots within ``band`` of the
+    These are the difference-polynomial roots within 1e-8 of the
     circle.  Raises AllOfCircle when the polynomial is identically zero,
     i.e. the moduli agree everywhere on the circle.
     """
@@ -337,4 +321,4 @@ def equality_points_on_circle(
     if eq.poly.degree < 1:
         return []
     roots = poly_roots(eq.poly)
-    return [w for w in roots if abs(abs(w) - r) <= band]
+    return [w for w in roots if abs(abs(w) - r) <= 1e-8]

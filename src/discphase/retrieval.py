@@ -23,13 +23,12 @@ cross-checks that the difference polynomial vanishes.
 
 from __future__ import annotations
 
-import logging
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, align_constant, dedup_indices
+from .blaschke import BlaschkeProduct, align_constant, cancel_common, dedup_indices
 from .errors import (
     DegreeCapExceeded,
     DiscPhaseError,
@@ -44,14 +43,14 @@ from .errors import (
 )
 from .geometry import Circle
 from .outer import BoundaryModulus, OuterFunction
-from .rational import Polynomial, RationalFunction, cancel_common, modulus_equation, poly_roots
-
-logger = logging.getLogger(__name__)
+from .rational import Polynomial, RationalFunction, modulus_equation, poly_roots
 
 #: half-width of the pole separation dead band around [r, 1]
 _POLE_BAND = 0.02
 
-#: a fit with sigma[-2] / sigma[0] below this is flagged rank deficient
+#: a fit with sigma[-2] / sigma[0] below this is flagged rank deficient; the
+#: flag is read only by the benchmark tracer (fit.rank_deficient_count), since
+#: exact data of the true degree crosses this threshold too
 _RANK_RATIO = 1e-8
 
 
@@ -107,9 +106,9 @@ class ModulusData:
         return len(self.points)
 
 
-def sample_modulus(func, circle: Circle, n: int, phase_offset: float = 0.0) -> ModulusData:
+def sample_modulus(func, circle: Circle, n: int) -> ModulusData:
     """Forward measurement model: |func| on an n-point grid of the circle."""
-    pts = circle.sample_points(n, phase_offset)
+    pts = circle.sample_points(n)
     vals = np.abs(np.asarray(func(pts), dtype=complex))
     return ModulusData(circle, pts, vals)
 
@@ -130,11 +129,8 @@ class ModulusFit:
 
     h: RationalFunction
     residual: float
-    singular_values: np.ndarray
     rank_deficient: bool
-    num_scaled: Polynomial
     den_scaled: Polynomial
-    radius: float
 
 
 def fit_modulus_rational(data: ModulusData, degree: int) -> ModulusFit:
@@ -164,14 +160,6 @@ def fit_modulus_rational(data: ModulusData, degree: int) -> ModulusFit:
     x = vh[-1].conjugate()
     residual = float(s[-1]) / np.sqrt(n_samples)
     ratio = float(s[-2] / s[0]) if len(s) >= 2 and s[0] > 0 else 0.0
-    rank_deficient = ratio < _RANK_RATIO
-    if rank_deficient:
-        logger.warning(
-            "rational modulus fit at degree %d is rank deficient "
-            "(sigma[-2]/sigma[0] = %.3e); degree is likely overestimated",
-            degree,
-            ratio,
-        )
     den_scaled = Polynomial(x[n_coeff:])
     if den_scaled.is_zero:
         raise ResidualTooLarge("fit produced an identically zero denominator")
@@ -184,24 +172,19 @@ def fit_modulus_rational(data: ModulusData, degree: int) -> ModulusFit:
     return ModulusFit(
         h=RationalFunction(num_z, den_z),
         residual=residual,
-        singular_values=s,
-        rank_deficient=rank_deficient,
-        num_scaled=num_scaled,
+        rank_deficient=ratio < _RANK_RATIO,
         den_scaled=den_scaled,
-        radius=r,
     )
 
 
-def _recover(
-    data: ModulusData, degree: int, residual_tol: float
-) -> tuple[BlaschkeProduct, ModulusFit, float]:
+def _recover(data: ModulusData, degree: int, residual_tol: float) -> tuple[BlaschkeProduct, float]:
     if float(data.moduli.min()) < 1e-8:
         raise ZeroOnCircle(
             "moduli vanish on the sampling circle; divide out the zeros "
             "(finitely many) before retrieval"
         )
     fit = fit_modulus_rational(data, degree)
-    r = fit.radius
+    r = data.circle.radius
     if fit.den_scaled.degree >= 1:
         poles = np.array([r * w for w in poly_roots(fit.den_scaled)])
     else:
@@ -228,31 +211,30 @@ def _recover(
             f"forward modulus residual {residual:.3e} exceeds {residual_tol:.3e} "
             f"at degree {degree}"
         )
-    return b, fit, residual
+    return b, residual
 
 
-def recover_blaschke_on_circle(
-    data: ModulusData, degree: int, residual_tol: float = 1e-7
-) -> BlaschkeProduct:
+def recover_blaschke_on_circle(data: ModulusData, degree: int) -> BlaschkeProduct:
     """Blaschke product (constant fixed to 1) whose modulus matches the data.
 
     The data must come from an inner rational function of degree
-    <= ``degree``; the unimodular constant is unrecoverable from moduli
-    and is returned as 1.
+    <= ``degree``, and the forward residual must meet the default
+    ``RetrievalConfig.residual_tol``; the unimodular constant is
+    unrecoverable from moduli and is returned as 1.
     """
-    b, _, _ = _recover(data, degree, residual_tol)
+    b, _ = _recover(data, degree, RetrievalConfig.residual_tol)
     return b
 
 
 def _search_degree(
     data: ModulusData, config: RetrievalConfig
-) -> tuple[int, BlaschkeProduct, ModulusFit, float]:
+) -> tuple[int, BlaschkeProduct, float]:
     cap = min(config.degree_max, (len(data) - 2) // 4)
     failures: list[str] = []
     for degree in range(cap + 1):
         try:
-            b, fit, residual = _recover(data, degree, config.residual_tol)
-            return degree, b, fit, residual
+            b, residual = _recover(data, degree, config.residual_tol)
+            return degree, b, residual
         except (ResidualTooLarge, PoleAmbiguity, NonConvergence) as exc:
             failures.append(f"degree {degree}: {exc}")
         except np.linalg.LinAlgError as exc:
@@ -396,7 +378,7 @@ def retrieve_two_circles(
         inner_data = ModulusData(circle_r, data_inner.points, inner_moduli)
 
     with _stage("degree_search"):
-        degree, b, fit, fit_residual = _search_degree(inner_data, config)
+        degree, b, fit_residual = _search_degree(inner_data, config)
 
     with _stage("assemble"):
         residual_t, residual_rt = _residuals(b, boundary, data_inner, u_abs)
@@ -405,9 +387,6 @@ def retrieve_two_circles(
                 f"assembled residuals ({residual_t:.3e}, {residual_rt:.3e}) exceed "
                 f"{config.residual_tol:.3e}"
             )
-        notes = []
-        if fit.rank_deficient:
-            notes.append("rational fit was rank deficient at the selected degree")
         diagnostics = RetrievalDiagnostics(
             degree_used=degree,
             fit_residual=fit_residual,
@@ -418,7 +397,6 @@ def retrieve_two_circles(
             n_samples_rT=len(data_inner),
             degree_max=config.degree_max,
             residual_tol=config.residual_tol,
-            notes=tuple(notes),
         )
     return RetrievalResult(
         blaschke=b,

@@ -317,6 +317,13 @@ def test_non_finite_tol_is_invalid_input(capsys, tmp_path, blaschke_files, comma
     assert "finite and positive" in rep["error"]
 
 
+#: a moebius_of descriptor with coefficient a = A over the identity polynomial
+_MOEBIUS_OF = (
+    '{"type": "moebius_of", "map": {"a": A, "b": [0, 0], "c": [0, 0], "d": [1, 0]}, '
+    '"inner": {"type": "poly", "coeffs": [[0, 0], [1, 0]]}}'
+)
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -330,21 +337,28 @@ def test_non_finite_tol_is_invalid_input(capsys, tmp_path, blaschke_files, comma
         ["example", "finite_set", "--alpha", "nan", "--out-dir", "{out_dir}"],
         ["example", "finite_set", "--r", "nan", "--out-dir", "{out_dir}"],
         ["example", "right_angle_circles", "--c1", "nan", "--out-dir", "{out_dir}"],
+        ["sample", "--f", "{moebius_inf}", "--circle", "0,0,0.5", "--n", "8", "--out", "{out}"],
+        ["sample", "--f", "{moebius_nan}", "--circle", "0,0,0.5", "--n", "8", "--out", "{out}"],
+        ["verify", "--f", "{moebius_inf}", "--g", "{b3}", "--set", "circle:0,0,0.5"],
     ],
     ids=[
         "sample-circle-centre", "sample-circle-radius", "sample-phase-offset", "verify-circle",
         "certify-constant", "verify-constant", "example-alpha", "example-r", "example-c1",
+        "sample-moebius-inf", "sample-moebius-nan", "verify-moebius-inf",
     ],
 )
 def test_non_finite_numbers_are_invalid_input(capsys, tmp_path, blaschke_files, args):
-    nan_constant = tmp_path / "nan_constant.json"
-    nan_constant.write_text(
-        '{"type": "blaschke", "constant": [NaN, 0.0], "zeros": [[0.3, 0.0]]}'
-    )
+    files = {
+        "nan_constant": '{"type": "blaschke", "constant": [NaN, 0.0], "zeros": [[0.3, 0.0]]}',
+        "moebius_inf": _MOEBIUS_OF.replace("A", "[Infinity, 0]"),
+        "moebius_nan": _MOEBIUS_OF.replace("A", "[NaN, 0]"),
+    }
+    paths = {name: tmp_path / f"{name}.json" for name in files}
+    for name, text in files.items():
+        paths[name].write_text(text)
     out = tmp_path / "samples.csv"
     argv = [
-        a.format(nan_constant=nan_constant, out=out, out_dir=tmp_path / "ex", **blaschke_files)
-        for a in args
+        a.format(out=out, out_dir=tmp_path / "ex", **paths, **blaschke_files) for a in args
     ]
     code = main(argv)
     rep = _strict_json(capsys.readouterr().out)
@@ -517,6 +531,48 @@ def test_example_families_write_reports(capsys, tmp_path, name):
         assert rep["edge_im1"]["max_unimodularity_deviation"] <= 1e-11
     if name == "inverse_points":
         assert rep["report"]["constants_gap"] > 1e-2
+
+
+def test_sample_through_a_pole_is_numerical_failure(capsys, tmp_path):
+    f = tmp_path / "f.json"  # 1 / (z - 0.5)
+    f.write_text(json.dumps({
+        "type": "rational",
+        "num": {"type": "poly", "coeffs": [[1, 0]]},
+        "den": {"type": "poly", "coeffs": [[-0.5, 0], [1, 0]]},
+    }))
+    out = tmp_path / "samples.csv"
+    code, rep, _ = run_cli(
+        capsys, "sample", "--f", str(f), "--circle", "0,0,0.5", "--n", "8", "--out", str(out)
+    )
+    assert code == 3
+    assert rep["status"] == "numerical-failure"
+    assert rep["kind"] == "EvaluationAtPole"
+    assert rep["error"] == "evaluation is not finite at point index 0 ((0.5+0j))"
+    assert not out.exists()
+
+
+def test_example_finite_set_rejects_empty_x(capsys, tmp_path):
+    code, rep, _ = run_cli(
+        capsys, "example", "finite_set", "--n-x", "0", "--out-dir", str(tmp_path / "ex")
+    )
+    assert code == 2
+    assert rep["error"] == "x_points must not be empty"
+
+
+def test_example_rational_angle_k_is_bounded(capsys, tmp_path):
+    code, rep, _ = run_cli(
+        capsys, "example", "rational_angle", "--k", "64", "--out-dir", str(tmp_path / "k64")
+    )
+    assert code == 0
+    assert len(rep["advertised_sets"]) == 64
+    for k in ("65", "100000000"):
+        out_dir = tmp_path / f"k{k}"
+        code, rep, _ = run_cli(
+            capsys, "example", "rational_angle", "--k", k, "--out-dir", str(out_dir)
+        )
+        assert code == 2
+        assert rep["error"] == f"k must be <= 64, got {k}"
+        assert not (out_dir / "report.json").exists()
 
 
 # ----------------------------------------------------------------- determinism

@@ -94,6 +94,8 @@ def test_rational_angle_rejects_equal_parameters():
         rational_angle_pair(3, 2.0, 2.0)
     with pytest.raises(ValueError):
         rational_angle_pair(1, 2.0, 3.0)
+    with pytest.raises(ValueError, match="k must be <= 64"):  # classify_angle's largest q
+        rational_angle_pair(65, 2.0, 3.0)
 
 
 # -------------------------------------------------------------- finite sets
@@ -129,6 +131,13 @@ def test_finite_set_pair_rejects_matching_seeds():
     u = BlaschkeProduct(1.0, (0.2,))
     with pytest.raises(UEqualsV):
         finite_set_pair((0.5,), 0.3, u, u.with_constant(1j))
+
+
+def test_finite_set_pair_rejects_empty_x():
+    u = BlaschkeProduct(1.0, (0.2,))
+    v = BlaschkeProduct(1.0, (0.6,))
+    with pytest.raises(ValueError, match="x_points must not be empty"):
+        finite_set_pair((), 0.3, u, v)
 
 
 @pytest.mark.parametrize(

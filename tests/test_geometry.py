@@ -97,6 +97,21 @@ def test_cayley_type_map_kills_numerator():
     assert m(-a) == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [
+        ((0.0, 0.0, 0.0, 0.0), "all Moebius coefficients are zero"),
+        ((1.0, 2.0, 2.0, 4.0), "degenerate"),
+        ((math.inf, 0.0, 0.0, 1.0), "coefficient a = .* is not finite"),
+        ((1.0, 0.0, complex(0.0, math.nan), 1.0), "coefficient c = .* is not finite"),
+    ],
+    ids=["zero", "degenerate", "infinite", "nan"],
+)
+def test_moebius_rejects_zero_degenerate_and_non_finite_coefficients(coeffs, message):
+    with pytest.raises(ValueError, match=message):
+        MoebiusMap(*coeffs)
+
+
 def test_moebius_pole_raises():
     m = MoebiusMap(1.0, 0.0, 1.0, -0.5)  # pole at z = 0.5
     with pytest.raises(PoleAtInput):
@@ -285,6 +300,12 @@ def test_classify_angle_rational_soundness(p, q):
     assert isinstance(ac, RationalMultipleOfPi)
     assert math.gcd(ac.p, ac.q) == 1
     assert abs(math.pi * p / q * ac.q - ac.p * math.pi) <= 1e-9 * ac.q * math.pi
+
+
+def test_classify_angle_largest_denominator_is_64():
+    ac = classify_angle(math.pi / 64)
+    assert isinstance(ac, RationalMultipleOfPi) and ac.q == 64
+    assert isinstance(classify_angle(math.pi / 65), PresumedIrrational)
 
 
 def test_classify_angle_rejects_out_of_range():

@@ -62,10 +62,10 @@ def test_spectral_convergence_doubling():
 
 
 def test_outer_call_and_radius_cap():
-    u = OuterFunction(BoundaryModulus(np.ones(32)), rho_max=0.9)
+    u = OuterFunction(BoundaryModulus(np.ones(32)))
     assert u(0.5) == pytest.approx(1.0)
-    with pytest.raises(EvaluationTooCloseToBoundary):
-        u(0.95)
+    with pytest.raises(EvaluationTooCloseToBoundary, match="exceeds rho_max = 0.99"):
+        u(0.995)
 
 
 def test_boundary_modulus_of_blaschke_is_one():

@@ -266,6 +266,20 @@ def test_retrieve_scale_consistency():
     assert np.abs(scaled.outer(zs) - s * base.outer(zs)).max() < 1e-9 * s
 
 
+def test_retrieve_at_the_true_degree_carries_no_rank_deficiency_note(caplog):
+    # sigma[-2] / sigma[0] falls below 1e-8 at the true degree on exact data,
+    # so the flag says nothing about an overestimated degree
+    b = random_blaschke(np.random.default_rng(0), 7)
+    data_r = sample_modulus(b, Circle(0.0, 0.5), 256)
+    assert fit_modulus_rational(data_r, 7).rank_deficient
+    with caplog.at_level("DEBUG", logger="discphase"):
+        result = retrieve_two_circles(sample_modulus(b, UNIT_CIRCLE, 256), data_r)
+    assert result.degree_used == 7
+    assert result.certificate.notes == ()
+    assert result.certificate.to_json()["notes"] == []
+    assert not caplog.records
+
+
 def test_retrieve_result_residuals_recompute():
     f = _product_fn(BlaschkeProduct(1.0, (0.3,)), [0.5])
     data_t = sample_modulus(f, UNIT_CIRCLE, 128)
