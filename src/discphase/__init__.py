@@ -44,7 +44,6 @@ from .errors import (
     IdenticalCircles,
     ModulusMismatchOnCircle,
     NonConvergence,
-    NotIntersecting,
     PointsNotOnCommonCircle,
     PoleAmbiguity,
     PoleAtInput,
@@ -69,9 +68,7 @@ from .geometry import (
     classify_angle,
     classify_pair,
     disc_automorphism,
-    intersection_angle,
     inverse_point,
-    is_point_at_infinity,
     map_circle,
 )
 from .outer import BoundaryModulus, OuterFunction, boundary_modulus_of
@@ -93,10 +90,8 @@ from .retrieval import (
     RetrievalDiagnostics,
     RetrievalResult,
     certify_finite_points,
-    estimate_degree,
     fit_modulus_rational,
     parametrize_pair,
-    recover_blaschke_on_circle,
     retrieve_two_circles,
     sample_modulus,
     verify_equal_modulus,

@@ -28,8 +28,8 @@ class BlaschkeProduct:
     ``zeros`` is a multiset (repetitions allowed); the degree is its size.
     """
 
-    constant: complex = 1.0 + 0j
-    zeros: tuple[complex, ...] = ()
+    constant: complex
+    zeros: tuple[complex, ...]
 
     def __post_init__(self):
         c = complex(self.constant)
@@ -67,11 +67,6 @@ class BlaschkeProduct:
                     )
             out = out * (zz - a) / (1.0 - a.conjugate() * zz)
         return complex(out) if zz.ndim == 0 else out
-
-    def __mul__(self, other: "BlaschkeProduct") -> "BlaschkeProduct":
-        if not isinstance(other, BlaschkeProduct):
-            return NotImplemented
-        return BlaschkeProduct(self.constant * other.constant, self.zeros + other.zeros)
 
     def with_constant(self, constant: complex) -> "BlaschkeProduct":
         return BlaschkeProduct(constant, self.zeros)

@@ -296,10 +296,11 @@ def cmd_example(args) -> int:
             f, g, {"unit_circle": CircleGrid(UNIT_CIRCLE, n)}, CircleGrid(Circle(0.0, 0.5), n)
         )
         alpha = complex(args.alpha)
+        pts = np.array(xs)
         extra["finite_set"] = {
             "points": [[x.real, x.imag] for x in xs],
-            "max_value_deviation": max(float(abs(f(x) - alpha)) for x in xs)
-            + max(float(abs(g(x) - alpha)) for x in xs),
+            "max_value_deviation": float(np.abs(f(pts) - alpha).max())
+            + float(np.abs(g(pts) - alpha).max()),
         }
         pair = (f, g)
     elif name == "right_angle_circles":

@@ -34,10 +34,6 @@ class IdenticalCircles(DiscPhaseError):
     """Two-circle classification received indistinguishable circles."""
 
 
-class NotIntersecting(DiscPhaseError):
-    """An intersection angle was requested for non-intersecting circles."""
-
-
 class EvaluationAtPole(DiscPhaseError):
     """A function was evaluated at (or too close to) one of its poles."""
 

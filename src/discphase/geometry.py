@@ -18,12 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import (
-    CircleNotInsideDisc,
-    IdenticalCircles,
-    NotIntersecting,
-    PoleAtInput,
-)
+from .errors import CircleNotInsideDisc, IdenticalCircles, PoleAtInput
 
 #: marker returned by :func:`inverse_point` for the centre of inversion
 POINT_AT_INFINITY = complex(math.inf, math.inf)
@@ -32,17 +27,14 @@ POINT_AT_INFINITY = complex(math.inf, math.inf)
 _MAX_DENOMINATOR = 64
 
 
-def is_point_at_infinity(z: complex) -> bool:
-    return math.isinf(complex(z).real) or math.isinf(complex(z).imag)
-
-
 @dataclass(frozen=True)
 class MoebiusMap:
     """The fractional linear map z -> (a z + b) / (c z + d).
 
     Coefficients are normalized on construction so the largest one has
     modulus 1 (the map itself is unchanged); a map with a non-finite
-    coefficient or a vanishing determinant is rejected.
+    coefficient is rejected, and so is one whose determinant vanishes
+    relative to max(|a|, |b|) * max(|c|, |d|), the scale of its two terms.
     """
 
     a: complex
@@ -62,7 +54,9 @@ class MoebiusMap:
             raise ValueError("all Moebius coefficients are zero")
         coeffs = coeffs / scale
         det = coeffs[0] * coeffs[3] - coeffs[1] * coeffs[2]
-        if abs(det) <= 1e-14:
+        # relative to the rows, so a dilation z -> 1e15 z is not degenerate
+        rows = max(abs(coeffs[0]), abs(coeffs[1])) * max(abs(coeffs[2]), abs(coeffs[3]))
+        if abs(det) <= 1e-14 * rows:
             raise ValueError(f"Moebius map is degenerate (|det| = {abs(det):.3e})")
         for name, value in zip("abcd", coeffs):
             object.__setattr__(self, name, complex(value))
@@ -79,18 +73,6 @@ class MoebiusMap:
             raise PoleAtInput(f"Moebius map has a pole at input z = {where}")
         out = num / den
         return complex(out) if np.isscalar(z) or np.asarray(z).ndim == 0 else out
-
-    def compose(self, other: "MoebiusMap") -> "MoebiusMap":
-        """Return self after other: (self.compose(other))(z) = self(other(z))."""
-        return MoebiusMap(
-            a=self.a * other.a + self.b * other.c,
-            b=self.a * other.b + self.b * other.d,
-            c=self.c * other.a + self.d * other.c,
-            d=self.c * other.b + self.d * other.d,
-        )
-
-    def invert(self) -> "MoebiusMap":
-        return MoebiusMap(a=self.d, b=-self.b, c=-self.c, d=self.a)
 
     def pole(self) -> complex | None:
         """Preimage of infinity, or None for an affine map."""
@@ -155,10 +137,6 @@ class Circle:
     def to_json(self) -> dict:
         return {"cx": self.center.real, "cy": self.center.imag, "r": self.radius}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Circle":
-        return cls(complex(float(obj["cx"]), float(obj["cy"])), float(obj["r"]))
-
 
 UNIT_CIRCLE = Circle(0.0, 1.0)
 
@@ -181,7 +159,7 @@ class Line:
     def distance_to(self, z: complex) -> float:
         return abs(((complex(z) - self.point) / self.direction).imag)
 
-    def sample_points(self, n: int, half_width: float = 1.0) -> np.ndarray:
+    def sample_points(self, n: int, half_width: float) -> np.ndarray:
         t = np.linspace(-half_width, half_width, n)
         return self.point + t * self.direction
 
@@ -361,23 +339,10 @@ def classify_pair(c1: Circle, c2: Circle) -> CircleConfig:
         return CircleConfig(PairKind.INTERNALLY_TANGENT)
     if d < r_diff - tol:
         return CircleConfig(PairKind.INTERNALLY_DISJOINT)
-    angle = _intersection_angle_unchecked(c1, c2, d)
-    return CircleConfig(PairKind.INTERSECTING, angle=angle)
-
-
-def _intersection_angle_unchecked(c1: Circle, c2: Circle, d: float) -> float:
     cos_theta = abs(c1.radius**2 + c2.radius**2 - d * d) / (
         2.0 * c1.radius * c2.radius
     )
-    return math.acos(min(1.0, cos_theta))
-
-
-def intersection_angle(c1: Circle, c2: Circle) -> float:
-    """Angle in (0, pi/2] at which two circles cross."""
-    config = classify_pair(c1, c2)
-    if config.kind is not PairKind.INTERSECTING:
-        raise NotIntersecting(f"circles are {config.kind.value}, not intersecting")
-    return config.angle
+    return CircleConfig(PairKind.INTERSECTING, angle=math.acos(min(1.0, cos_theta)))
 
 
 def classify_angle(theta: float) -> AngleClass:

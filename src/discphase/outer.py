@@ -73,10 +73,6 @@ class OuterFunction:
         self.boundary = boundary
         self._nodes = np.exp(1j * boundary.angles)
 
-    @property
-    def value_at_zero(self) -> float:
-        return float(np.exp(self.boundary._log.mean()))
-
     def __call__(self, z):
         """Evaluate the Schwarz-integral exponential at scalar or array z."""
         zz = np.asarray(z, dtype=complex)
@@ -91,7 +87,7 @@ class OuterFunction:
         return complex(out) if zz.ndim == 0 else out
 
 
-def boundary_modulus_of(func, n: int = 1024) -> BoundaryModulus:
+def boundary_modulus_of(func, n: int) -> BoundaryModulus:
     """Sample |func| on the uniform n-point boundary grid.
 
     Rejects data with min modulus <= 1e-10: zeros on the circle must be

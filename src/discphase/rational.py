@@ -67,26 +67,6 @@ class Polynomial:
         out = _horner(self.coeffs, zz)
         return complex(out) if zz.ndim == 0 else out
 
-    def derivative(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial([0.0])
-        k = np.arange(1, len(self.coeffs))
-        return Polynomial(self.coeffs[1:] * k)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = np.zeros(n, dtype=complex)
-        a[: len(self.coeffs)] = self.coeffs
-        a[: len(other.coeffs)] += other.coeffs
-        return Polynomial(a)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = np.zeros(n, dtype=complex)
-        a[: len(self.coeffs)] = self.coeffs
-        a[: len(other.coeffs)] -= other.coeffs
-        return Polynomial(a)
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial(np.convolve(self.coeffs, other.coeffs))
 
@@ -94,8 +74,9 @@ class Polynomial:
         return f"Polynomial(degree={self.degree})"
 
     @classmethod
-    def from_roots(cls, roots, leading: complex = 1.0) -> "Polynomial":
-        c = np.array([complex(leading)])
+    def from_roots(cls, roots) -> "Polynomial":
+        """The monic polynomial with these roots (a multiset)."""
+        c = np.array([1.0 + 0j])
         for r in roots:
             c = np.convolve(c, np.array([-complex(r), 1.0]))
         return cls(c)
@@ -137,13 +118,6 @@ class RationalFunction:
         if np.any(pole):
             out = np.where(pole & (num != 0), complex(np.inf, 0.0), out)
         return complex(out) if zz.ndim == 0 else out
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    @property
-    def degree(self) -> int:
-        return max(self.num.degree, self.den.degree)
 
     def zeros(self) -> list[complex]:
         return poly_roots(self.num) if self.num.degree >= 1 else []

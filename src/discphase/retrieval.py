@@ -178,11 +178,6 @@ def fit_modulus_rational(data: ModulusData, degree: int) -> ModulusFit:
 
 
 def _recover(data: ModulusData, degree: int, residual_tol: float) -> tuple[BlaschkeProduct, float]:
-    if float(data.moduli.min()) < 1e-8:
-        raise ZeroOnCircle(
-            "moduli vanish on the sampling circle; divide out the zeros "
-            "(finitely many) before retrieval"
-        )
     fit = fit_modulus_rational(data, degree)
     r = data.circle.radius
     if fit.den_scaled.degree >= 1:
@@ -214,18 +209,6 @@ def _recover(data: ModulusData, degree: int, residual_tol: float) -> tuple[Blasc
     return b, residual
 
 
-def recover_blaschke_on_circle(data: ModulusData, degree: int) -> BlaschkeProduct:
-    """Blaschke product (constant fixed to 1) whose modulus matches the data.
-
-    The data must come from an inner rational function of degree
-    <= ``degree``, and the forward residual must meet the default
-    ``RetrievalConfig.residual_tol``; the unimodular constant is
-    unrecoverable from moduli and is returned as 1.
-    """
-    b, _ = _recover(data, degree, RetrievalConfig.residual_tol)
-    return b
-
-
 def _search_degree(
     data: ModulusData, config: RetrievalConfig
 ) -> tuple[int, BlaschkeProduct, float]:
@@ -245,12 +228,6 @@ def _search_degree(
     )
 
 
-def estimate_degree(data: ModulusData, config: RetrievalConfig | None = None) -> int:
-    """Smallest degree whose inner-rational fit meets the residual tolerance."""
-    config = config or RetrievalConfig()
-    return _search_degree(data, config)[0]
-
-
 @dataclass
 class RetrievalDiagnostics:
     """Diagnostic record attached to a retrieval result."""
@@ -264,10 +241,9 @@ class RetrievalDiagnostics:
     n_samples_rT: int
     degree_max: int
     residual_tol: float
-    notes: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
-        return {**asdict(self), "notes": list(self.notes)}
+        return asdict(self)
 
 
 @dataclass
@@ -284,13 +260,7 @@ class RetrievalResult:
     def __call__(self, z):
         return self.blaschke(z) * self.outer(z)
 
-    def recompute_residuals(self, data_inner: ModulusData) -> tuple[float, float]:
-        """Residuals of B * u: on the outer factor's own unit-circle grid (the
-        boundary data it was built from) and on the given inner samples."""
-        u_abs = np.abs(self.outer(data_inner.points))
-        return _residuals(self.blaschke, self.outer.boundary, data_inner, u_abs)
-
-    def to_json(self, outer_csv: str | None = None) -> dict:
+    def to_json(self, outer_csv: str | None) -> dict:
         if outer_csv is not None:
             outer_ref: dict = {"n": self.outer.boundary.n, "csv": outer_csv}
         else:
@@ -307,17 +277,6 @@ class RetrievalResult:
             "degree": self.degree_used,
             "certificate": self.certificate.to_json(),
         }
-
-
-def _residuals(
-    b: BlaschkeProduct, boundary: BoundaryModulus, data_inner: ModulusData, u_abs
-) -> tuple[float, float]:
-    """Max modulus errors of B * u on the unit-circle grid and the inner samples,
-    given ``u_abs`` = |u| there (so the n x n outer evaluation is not repeated)."""
-    nodes = np.exp(1j * boundary.angles)
-    res_t = float(np.abs(np.abs(b(nodes)) * boundary.values - boundary.values).max())
-    res_r = float(np.abs(np.abs(b(data_inner.points)) * u_abs - data_inner.moduli).max())
-    return res_t, res_r
 
 
 def _boundary_from_data(data: ModulusData) -> BoundaryModulus:
@@ -381,7 +340,13 @@ def retrieve_two_circles(
         degree, b, fit_residual = _search_degree(inner_data, config)
 
     with _stage("assemble"):
-        residual_t, residual_rt = _residuals(b, boundary, data_inner, u_abs)
+        # max modulus errors of B * u on the unit-circle grid and the inner
+        # samples; u_abs is reused so the n x n outer evaluation is not repeated
+        nodes = np.exp(1j * boundary.angles)
+        residual_t = float(np.abs(np.abs(b(nodes)) * boundary.values - boundary.values).max())
+        residual_rt = float(
+            np.abs(np.abs(b(data_inner.points)) * u_abs - data_inner.moduli).max()
+        )
         if max(residual_t, residual_rt) > config.residual_tol:
             raise ResidualTooLarge(
                 f"assembled residuals ({residual_t:.3e}, {residual_rt:.3e}) exceed "

@@ -1,36 +1,119 @@
-"""The public option count: every parameter with a default in the ``discphase`` API.
+"""The public surface of ``discphase``: its exports, and every parameter with a default.
 
 A numerical policy with one value in use is a module constant, not a
-parameter.  A new option therefore shows up as a one-line change to
-``OPTIONS``.
+parameter, and a name with no caller outside the tests is not exported.
+A new option or export therefore shows up as a one-line change to
+``OPTIONS`` or ``EXPORTS``.
 """
 
 import inspect
 
 import discphase
 
+EXPORTS = [
+    "AllOfCircle",
+    "AngleClass",
+    "BlaschkeProduct",
+    "BoundaryModulus",
+    "Circle",
+    "CircleConfig",
+    "CircleGrid",
+    "CircleNotInsideDisc",
+    "DegenerateAlignment",
+    "DegreeCapExceeded",
+    "DiscPhaseError",
+    "EqualModulusReport",
+    "EqualityCertificate",
+    "EvaluationAtPole",
+    "EvaluationTooCloseToBoundary",
+    "ExplicitPoints",
+    "FunctionExpr",
+    "GeneralizedCircle",
+    "IdenticalCircles",
+    "InversePointsReport",
+    "Line",
+    "LineSegmentGrid",
+    "ModulusData",
+    "ModulusEquation",
+    "ModulusFit",
+    "ModulusMismatchOnCircle",
+    "ModulusSamples",
+    "MoebiusMap",
+    "MoebiusOf",
+    "NonConvergence",
+    "OuterFunction",
+    "POINT_AT_INFINITY",
+    "PairKind",
+    "PointsNotOnCommonCircle",
+    "PoleAmbiguity",
+    "PoleAtInput",
+    "Polynomial",
+    "PowerComposite",
+    "PresumedIrrational",
+    "ProductExpr",
+    "RationalFunction",
+    "RationalMultipleOfPi",
+    "ResidualTooLarge",
+    "RetrievalConfig",
+    "RetrievalDiagnostics",
+    "RetrievalResult",
+    "RightAnglePair",
+    "StripMap",
+    "UEqualsV",
+    "UNIT_CIRCLE",
+    "ZeroOnBoundary",
+    "ZeroOnCircle",
+    "align_constant",
+    "boundary_modulus_of",
+    "build_modulus_product",
+    "certify_finite_points",
+    "circle_as_automorphism_image",
+    "classify_angle",
+    "classify_pair",
+    "disc_automorphism",
+    "equal_up_to_unimodular",
+    "equality_points_on_circle",
+    "finite_set_pair",
+    "fit_modulus_rational",
+    "function_expr_from_json",
+    "function_expr_to_json",
+    "inverse_point",
+    "inverse_points_demo",
+    "map_circle",
+    "modulus_equation",
+    "modulus_samples",
+    "parametrize_pair",
+    "perpendicular_lines_pair",
+    "poly_roots",
+    "rational_angle_pair",
+    "retrieve_two_circles",
+    "sample_modulus",
+    "two_circle_right_angle_pair",
+    "verify_equal_modulus",
+]
+
 OPTIONS = [
-    "BlaschkeProduct.__init__(constant)",
-    "BlaschkeProduct.__init__(zeros)",
     "Circle.sample_points(phase_offset)",
     "CircleConfig.__init__(angle)",
     "CircleGrid.__init__(phase_offset)",
     "EqualModulusReport.__init__(tol)",
-    "Line.sample_points(half_width)",
-    "Polynomial.from_roots(leading)",
     "RetrievalConfig.__init__(degree_max)",
     "RetrievalConfig.__init__(residual_tol)",
-    "RetrievalDiagnostics.__init__(notes)",
-    "RetrievalResult.to_json(outer_csv)",
-    "boundary_modulus_of(n)",
     "certify_finite_points(tol)",
-    "estimate_degree(config)",
     "inverse_points_demo(n_samples)",
     "retrieve_two_circles(config)",
     "two_circle_right_angle_pair(c1)",
     "two_circle_right_angle_pair(c2)",
     "verify_equal_modulus(tol)",
 ]
+
+
+def public_names() -> list[str]:
+    """The names ``discphase/__init__.py`` imports, submodules excluded."""
+    return sorted(
+        name for name in dir(discphase)
+        if not name.startswith("_") and not inspect.ismodule(getattr(discphase, name))
+    )
 
 
 def _defaulted(label: str, fn) -> list[str]:
@@ -42,9 +125,7 @@ def public_options() -> list[str]:
     """Defaulted parameters of the exported functions, and of the ``__init__``
     and public methods of the exported classes other than exceptions."""
     found = []
-    for name in dir(discphase):
-        if name.startswith("_"):
-            continue
+    for name in public_names():
         obj = getattr(discphase, name)
         if inspect.isfunction(obj):
             found += _defaulted(name, obj)
@@ -58,3 +139,7 @@ def public_options() -> list[str]:
 
 def test_public_options_are_pinned():
     assert public_options() == OPTIONS
+
+
+def test_public_names_are_pinned():
+    assert public_names() == EXPORTS

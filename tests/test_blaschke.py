@@ -89,16 +89,6 @@ def test_maximum_modulus_bound():
         assert abs(b(complex(z))) < 1.0
 
 
-def test_degree_additivity_of_products():
-    rng = np.random.default_rng(13)
-    b1 = random_blaschke(rng, 2)
-    b2 = random_blaschke(rng, 3)
-    prod = b1 * b2
-    assert prod.degree == 5
-    z = 0.4 - 0.3j
-    assert prod(z) == pytest.approx(b1(z) * b2(z), abs=1e-12)
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.complex_numbers(max_magnitude=0.999, allow_infinity=False, allow_nan=False))
 def test_modulus_below_one_inside_disc(z):

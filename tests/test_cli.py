@@ -367,6 +367,18 @@ def test_non_finite_numbers_are_invalid_input(capsys, tmp_path, blaschke_files, 
     assert not out.exists()
 
 
+def test_verify_accepts_moebius_dilation(capsys, tmp_path):
+    # z -> 1e15 z has determinant 1e15: its coefficients are finite and it is
+    # not degenerate, however small d is after normalising by a
+    path = tmp_path / "dilation.json"
+    path.write_text(_MOEBIUS_OF.replace("A", "[1e15, 0]"))
+    code, rep, _ = run_cli(
+        capsys, "verify", "--f", str(path), "--g", str(path), "--set", "circle:0,0,0.5"
+    )
+    assert code == 0
+    assert rep["report"]["max_deviation"] == 0.0
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discphase import (
+    POINT_AT_INFINITY,
     Circle,
     CircleNotInsideDisc,
     IdenticalCircles,
     Line,
     MoebiusMap,
-    NotIntersecting,
     PairKind,
     PoleAtInput,
     PresumedIrrational,
@@ -20,9 +20,7 @@ from discphase import (
     classify_angle,
     classify_pair,
     disc_automorphism,
-    intersection_angle,
     inverse_point,
-    is_point_at_infinity,
     map_circle,
 )
 
@@ -77,20 +75,6 @@ def test_moebius_apply_identity():
     assert m(0.7j) == pytest.approx(0.7j)
 
 
-def test_moebius_composition_law():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        coeffs = rng.standard_normal(8)
-        m1 = MoebiusMap(
-            complex(coeffs[0], coeffs[1]), complex(coeffs[2], coeffs[3]), 0.2j, 1.0
-        )
-        m2 = MoebiusMap(
-            complex(coeffs[4], coeffs[5]), complex(coeffs[6], coeffs[7]), 0.0, 1.0
-        )
-        z = complex(rng.standard_normal(), rng.standard_normal())
-        assert m1.compose(m2)(z) == pytest.approx(m1(m2(z)), abs=1e-11)
-
-
 def test_cayley_type_map_kills_numerator():
     a = 1j / (3 * SQRT2)
     m = MoebiusMap(1.0, a, 1.0, -a)  # (z + a) / (z - a)
@@ -102,30 +86,33 @@ def test_cayley_type_map_kills_numerator():
     [
         ((0.0, 0.0, 0.0, 0.0), "all Moebius coefficients are zero"),
         ((1.0, 2.0, 2.0, 4.0), "degenerate"),
+        ((0.0, 1.0, 0.0, 0.0), "degenerate"),
+        ((1.0, 1.0, 1.0, 1.0 + 1e-15), "degenerate"),
         ((math.inf, 0.0, 0.0, 1.0), "coefficient a = .* is not finite"),
         ((1.0, 0.0, complex(0.0, math.nan), 1.0), "coefficient c = .* is not finite"),
     ],
-    ids=["zero", "degenerate", "infinite", "nan"],
+    ids=["zero", "degenerate", "constant", "near-degenerate", "infinite", "nan"],
 )
 def test_moebius_rejects_zero_degenerate_and_non_finite_coefficients(coeffs, message):
     with pytest.raises(ValueError, match=message):
         MoebiusMap(*coeffs)
 
 
+@pytest.mark.parametrize(
+    "coeffs, z",
+    [((1e15, 0.0, 0.0, 1.0), 1e-16), ((1.0, 0.0, 0.0, 1e-15), 1e-16),
+     ((1e308 + 1e308j, 0.0, 0.0, 1.0), 1e-300)],
+    ids=["dilation", "small-d", "huge-a"],
+)
+def test_moebius_accepts_extreme_dilations(coeffs, z):
+    a, _, _, d = coeffs
+    assert MoebiusMap(*coeffs)(z) == pytest.approx(a * z / d, rel=1e-12)
+
+
 def test_moebius_pole_raises():
     m = MoebiusMap(1.0, 0.0, 1.0, -0.5)  # pole at z = 0.5
     with pytest.raises(PoleAtInput):
         m(0.5)
-
-
-def test_group_law_invert_roundtrip():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        alpha = 0.7 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        omega = np.exp(2j * np.pi * rng.uniform())
-        m = disc_automorphism(complex(omega), complex(alpha))
-        z = 0.95 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        assert m(m.invert()(complex(z))) == pytest.approx(complex(z), abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -249,7 +236,7 @@ def test_intersection_angle_orthogonal_by_construction():
     d = math.hypot(r1, r2)
     c1 = Circle(0.1, r1)
     c2 = Circle(0.1 + d * np.exp(1j * np.pi / 5), r2)
-    assert intersection_angle(c1, c2) == pytest.approx(math.pi / 2, abs=1e-12)
+    assert classify_pair(c1, c2).angle == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_intersection_angle_monotone_to_zero_as_circles_separate():
@@ -258,14 +245,13 @@ def test_intersection_angle_monotone_to_zero_as_circles_separate():
     r1, r2 = 0.3, 0.2
     angles = []
     for d in np.linspace(0.37, 0.4999, 40):
-        angles.append(intersection_angle(Circle(0.0, r1), Circle(d, r2)))
+        angles.append(classify_pair(Circle(0.0, r1), Circle(d, r2)).angle)
     assert all(a2 < a1 for a1, a2 in zip(angles, angles[1:]))
     assert angles[-1] < 0.05
 
 
 def test_intersection_angle_requires_intersection():
-    with pytest.raises(NotIntersecting):
-        intersection_angle(Circle(0.0, 0.8), Circle(0.0, 0.2))
+    assert classify_pair(Circle(0.0, 0.8), Circle(0.0, 0.2)).angle is None
 
 
 # ------------------------------------------------------------- angle classes
@@ -332,7 +318,7 @@ def test_inverse_point_fixes_circle_points():
 
 
 def test_inverse_point_center_gives_infinity():
-    assert is_point_at_infinity(inverse_point(0.3, Circle(0.3, 0.1)))
+    assert inverse_point(0.3, Circle(0.3, 0.1)) == POINT_AT_INFINITY
 
 
 def test_inverse_point_involution_and_defining_relation():

@@ -19,11 +19,9 @@ from discphase import (
     ZeroOnCircle,
     align_constant,
     certify_finite_points,
-    estimate_degree,
     fit_modulus_rational,
     parametrize_pair,
     perpendicular_lines_pair,
-    recover_blaschke_on_circle,
     retrieve_two_circles,
     sample_modulus,
     verify_equal_modulus,
@@ -38,6 +36,12 @@ def _product_fn(b, coeffs):
         return b(z) * outer(z)
 
     return fn
+
+
+def _unit_boundary(n):
+    """|f| = 1 on the unit circle: the outer factor is 1, so the inner data
+    reaches degree_search undivided."""
+    return ModulusData(UNIT_CIRCLE, UNIT_CIRCLE.sample_points(n), np.ones(n))
 
 
 # ------------------------------------------------------------------ ModulusData
@@ -116,7 +120,7 @@ def test_fit_requires_enough_samples():
 def test_recover_single_zero_phase_lost():
     b = BlaschkeProduct(np.exp(1j * np.pi / 3), (0.3,))
     data = sample_modulus(b, Circle(0.0, 0.5), 64)
-    rec = recover_blaschke_on_circle(data, 1)
+    rec = retrieve_two_circles(_unit_boundary(64), data).blaschke
     assert rec.constant == pytest.approx(1.0)
     assert len(rec.zeros) == 1
     assert rec.zeros[0] == pytest.approx(0.3, abs=1e-8)
@@ -124,14 +128,15 @@ def test_recover_single_zero_phase_lost():
 
 def test_recover_constant_data():
     data = sample_modulus(lambda z: np.ones(np.shape(z), dtype=complex), Circle(0.0, 0.5), 32)
-    rec = recover_blaschke_on_circle(data, 0)
+    rec = retrieve_two_circles(_unit_boundary(32), data).blaschke
     assert rec.degree == 0
 
 
 def test_recover_three_zeros():
     b = BlaschkeProduct(1.0, (0.2, -0.4j, 0.5 + 0.3j))
     data = sample_modulus(b, Circle(0.0, 0.6), 128)
-    rec = recover_blaschke_on_circle(data, 3)
+    rec = retrieve_two_circles(_unit_boundary(128), data).blaschke
+    assert rec.degree == 3
     for z_true in b.zeros:
         assert min(abs(z_true - z) for z in rec.zeros) < 1e-6
 
@@ -152,8 +157,9 @@ def test_recover_rejects_vanishing_moduli():
     pts = Circle(0.0, 0.5).sample_points(32)
     moduli = np.abs(BlaschkeProduct(1.0, (0.5,))(pts))  # zero sits on the circle
     data = ModulusData(Circle(0.0, 0.5), pts, moduli)
-    with pytest.raises(ZeroOnCircle):
-        recover_blaschke_on_circle(data, 1)
+    with pytest.raises(ZeroOnCircle) as info:
+        retrieve_two_circles(_unit_boundary(32), data)
+    assert info.value.stage == "outer_division"
 
 
 # ------------------------------------------------------------ degree estimation
@@ -161,14 +167,14 @@ def test_recover_rejects_vanishing_moduli():
 
 def test_estimate_degree_constant():
     data = sample_modulus(lambda z: np.ones(np.shape(z), dtype=complex), Circle(0.0, 0.5), 64)
-    assert estimate_degree(data) == 0
+    assert retrieve_two_circles(_unit_boundary(64), data).degree_used == 0
 
 
 def test_estimate_degree_forward():
     rng = np.random.default_rng(6)
     b = random_blaschke(rng, 3)
     data = sample_modulus(b, Circle(0.0, 0.5), 128)
-    assert estimate_degree(data) == 3
+    assert retrieve_two_circles(_unit_boundary(128), data).degree_used == 3
 
 
 def test_estimate_degree_singular_inner_exceeds_cap():
@@ -177,8 +183,9 @@ def test_estimate_degree_singular_inner_exceeds_cap():
         return np.exp(-(1 + zz) / (1 - zz))
 
     data = sample_modulus(singular, Circle(0.0, 0.5), 256)
-    with pytest.raises(DegreeCapExceeded):
-        estimate_degree(data, RetrievalConfig(degree_max=8))
+    with pytest.raises(DegreeCapExceeded) as info:
+        retrieve_two_circles(_unit_boundary(256), data, RetrievalConfig(degree_max=8))
+    assert info.value.stage == "degree_search"
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-7])
@@ -275,19 +282,7 @@ def test_retrieve_at_the_true_degree_carries_no_rank_deficiency_note(caplog):
     with caplog.at_level("DEBUG", logger="discphase"):
         result = retrieve_two_circles(sample_modulus(b, UNIT_CIRCLE, 256), data_r)
     assert result.degree_used == 7
-    assert result.certificate.notes == ()
-    assert result.certificate.to_json()["notes"] == []
     assert not caplog.records
-
-
-def test_retrieve_result_residuals_recompute():
-    f = _product_fn(BlaschkeProduct(1.0, (0.3,)), [0.5])
-    data_t = sample_modulus(f, UNIT_CIRCLE, 128)
-    data_r = sample_modulus(f, Circle(0.0, 0.5), 128)
-    result = retrieve_two_circles(data_t, data_r)
-    res_t, res_r = result.recompute_residuals(data_r)
-    assert res_t == pytest.approx(result.residual_T, abs=1e-15)
-    assert res_r == pytest.approx(result.residual_rT, abs=1e-15)
 
 
 # ----------------------------------------------------------------- certificate
