@@ -18,8 +18,6 @@ import numpy as np
 from discphase import (
     BlaschkeProduct,
     Circle,
-    CircleGrid,
-    LineSegmentGrid,
     StripMap,
     UNIT_CIRCLE,
     finite_set_pair,
@@ -44,20 +42,20 @@ for k in (2, 3, 5):
     dev = 0.0
     for m in range(k):
         d = np.exp(1j * np.pi * m / k)
-        rep = verify_equal_modulus(f, g, LineSegmentGrid(-0.9 * d, 0.9 * d, 400))
+        rep = verify_equal_modulus(f, g, d * np.linspace(-0.9, 0.9, 400))
         dev = max(dev, rep.max_deviation)
-    wit = verify_equal_modulus(f, g, CircleGrid(Circle(0.0, 0.5), 400)).max_deviation
+    wit = verify_equal_modulus(f, g, Circle(0.0, 0.5).sample_points(400)).max_deviation
     show(f"{k} lines at angles m*pi/{k}", dev, wit)
 
 # unit circle + finite set
 u, v = BlaschkeProduct(1.0, (0.2,)), BlaschkeProduct(1.0, (0.6,))
 f, g = finite_set_pair((0.5, -0.5), 0.3, u, v)
 dev = max(
-    verify_equal_modulus(f, g, CircleGrid(UNIT_CIRCLE, 512)).max_deviation,
+    verify_equal_modulus(f, g, UNIT_CIRCLE.sample_points(512)).max_deviation,
     abs(f(0.5) - g(0.5)),
     abs(f(-0.5) - g(-0.5)),
 )
-wit = verify_equal_modulus(f, g, CircleGrid(Circle(0.0, 0.5), 401)).max_deviation
+wit = verify_equal_modulus(f, g, Circle(0.0, 0.5).sample_points(401)).max_deviation
 show("unit circle + X = {0.5, -0.5}", dev, wit)
 print(f"{'':<34} both functions take the value 0.3 on X: "
       f"f(0.5) = {f(0.5):.3f}, g(0.5) = {g(0.5):.3f}")
@@ -65,8 +63,8 @@ print(f"{'':<34} both functions take the value 0.3 on X: "
 # right-angle circles
 built = two_circle_right_angle_pair()
 dev = max(
-    verify_equal_modulus(built.f, built.g, CircleGrid(built.circle1, 512)).max_deviation,
-    verify_equal_modulus(built.f, built.g, CircleGrid(built.circle2, 512)).max_deviation,
+    verify_equal_modulus(built.f, built.g, built.circle1.sample_points(512)).max_deviation,
+    verify_equal_modulus(built.f, built.g, built.circle2.sample_points(512)).max_deviation,
 )
 show("two circles crossing at pi/2", dev, built.witness_deviation)
 

@@ -9,9 +9,8 @@ and generates the function families that show where uniqueness fails.
 
 from .blaschke import (
     BlaschkeProduct,
-    CircleGrid,
     ExplicitPoints,
-    LineSegmentGrid,
+    ModulusData,
     ModulusSamples,
     align_constant,
     equal_up_to_unimodular,
@@ -84,7 +83,6 @@ from .rational import (
 from .retrieval import (
     EqualityCertificate,
     EqualModulusReport,
-    ModulusData,
     ModulusFit,
     RetrievalConfig,
     RetrievalDiagnostics,

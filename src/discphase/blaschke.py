@@ -3,13 +3,13 @@
 A finite Blaschke product is a unimodular constant times factors
 (z - a) / (1 - conj(a) z) with |a| < 1: the rational functions that are
 unimodular on the unit circle.  This module evaluates them, samples moduli
-on circle/segment grids, and tests equality up to a unimodular constant.
+on point arrays, holds modulus samples, and tests equality up to a
+unimodular constant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -133,45 +133,6 @@ def dedup_indices(points) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CircleGrid:
-    """``n_points`` equally spaced points on a circle, starting at ``phase_offset``."""
-
-    circle: Circle
-    n_points: int
-    phase_offset: float = 0.0
-
-    def __post_init__(self):
-        if self.n_points < 1:
-            raise ValueError("n_points must be at least 1")
-        if not np.isfinite(self.phase_offset):
-            raise ValueError(f"phase_offset must be finite, got {self.phase_offset!r}")
-
-    def points(self) -> np.ndarray:
-        return self.circle.sample_points(self.n_points, self.phase_offset)
-
-
-@dataclass(frozen=True)
-class LineSegmentGrid:
-    """``n_points`` equally spaced points on the segment [start, end]."""
-
-    start: complex
-    end: complex
-    n_points: int
-
-    def __post_init__(self):
-        if self.n_points < 1:
-            raise ValueError("n_points must be at least 1")
-        if not np.all(np.isfinite([self.start, self.end])):
-            raise ValueError(f"segment endpoint is not finite: {self.start}, {self.end}")
-
-    def points(self) -> np.ndarray:
-        if self.n_points == 1:
-            return np.array([complex(self.start)])
-        t = np.linspace(0.0, 1.0, self.n_points)
-        return complex(self.start) + t * (complex(self.end) - complex(self.start))
-
-
-@dataclass(frozen=True)
 class ExplicitPoints:
     """An explicit point list, deduplicated at distance 1e-12."""
 
@@ -187,9 +148,6 @@ class ExplicitPoints:
 
     def points(self) -> np.ndarray:
         return np.array(self.deduplicated)
-
-
-PointSet = Union[CircleGrid, LineSegmentGrid, ExplicitPoints]
 
 
 def write_csv(path, header: str, columns) -> None:
@@ -234,13 +192,19 @@ def complex_points(re, im) -> np.ndarray:
 
 
 class ModulusSamples:
-    """(point, modulus) pairs in deterministic grid order."""
+    """(point, modulus) pairs in grid order: at least one, all finite, moduli >= 0."""
+
+    __slots__ = ("points", "moduli")
 
     def __init__(self, points, moduli):
-        self.points = np.asarray(points, dtype=complex)
-        self.moduli = np.asarray(moduli, dtype=float)
-        if self.points.shape != self.moduli.shape or self.points.ndim != 1:
-            raise ValueError("points and moduli must be 1-d arrays of equal length")
+        self.points = np.asarray(points, dtype=complex).ravel()
+        self.moduli = np.asarray(moduli, dtype=float).ravel()
+        if self.points.shape != self.moduli.shape:
+            raise ValueError("points and moduli must have equal length")
+        if len(self.points) == 0:
+            raise ValueError("empty sample set")
+        if not np.all(np.isfinite(self.points) & np.isfinite(self.moduli) & (self.moduli >= 0)):
+            raise ValueError("points and moduli must be finite, moduli non-negative")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -251,17 +215,36 @@ class ModulusSamples:
 
     @classmethod
     def from_csv(cls, path) -> "ModulusSamples":
+        """The samples of an ``index,re,im,modulus`` file, bound to no circle."""
         _, re, im, moduli = read_csv(path, "index,re,im,modulus")
-        return cls(complex_points(re, im), moduli)
+        return ModulusSamples(complex_points(re, im), moduli)
 
 
-def modulus_samples(func, point_set: PointSet) -> ModulusSamples:
-    """Sample |func| on a point set, reporting the offending index on failure.
+class ModulusData(ModulusSamples):
+    """Samples taken on ``circle``: each point on it within 1e-10, no two within 1e-12."""
 
-    A non-finite modulus (the set passes through a pole) raises
-    EvaluationAtPole.
+    __slots__ = ("circle",)
+
+    def __init__(self, circle: Circle, points, moduli):
+        super().__init__(points, moduli)
+        self.circle = circle
+        off = np.abs(np.abs(self.points - circle.center) - circle.radius)
+        if float(off.max()) > 1e-10:
+            raise ValueError(
+                f"sample points deviate from the circle by up to {float(off.max()):.3e}"
+            )
+        angles = np.sort(np.angle(self.points - circle.center))
+        gaps = np.diff(angles, append=angles[0] + 2 * np.pi)  # the last gap wraps around
+        if float(gaps.min()) * circle.radius <= 1e-12:
+            raise ValueError("sample points are not pairwise distinct at 1e-12")
+
+
+def modulus_samples(func, points) -> ModulusSamples:
+    """Sample |func| at an array of points, reporting the offending index on failure.
+
+    A non-finite modulus (a point is a pole) raises EvaluationAtPole.
     """
-    pts = point_set.points()
+    pts = np.asarray(points, dtype=complex).ravel()
     try:
         values = func(pts)
     except Exception:

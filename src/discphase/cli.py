@@ -21,9 +21,8 @@ import numpy as np
 
 from .blaschke import (
     BlaschkeProduct,
-    CircleGrid,
     ExplicitPoints,
-    LineSegmentGrid,
+    ModulusData,
     ModulusSamples,
     complex_points,
     modulus_samples,
@@ -51,7 +50,6 @@ from .geometry import (
 )
 from .outer import BoundaryModulus
 from .retrieval import (
-    ModulusData,
     RetrievalConfig,
     certify_finite_points,
     retrieve_two_circles,
@@ -149,10 +147,9 @@ def cmd_retrieve(args) -> int:
             f"grid sizes differ: boundary has {boundary.n} samples, "
             f"inner circle has {len(inner)}"
         )
-    data_t = ModulusData(UNIT_CIRCLE, np.exp(1j * boundary.angles), boundary.values)
     data_r = ModulusData(Circle(0.0, r), inner.points, inner.moduli)
     config = RetrievalConfig(degree_max=args.degree_max, residual_tol=args.tol)
-    result = retrieve_two_circles(data_t, data_r, config)
+    result = retrieve_two_circles(boundary, data_r, config)
     outer_csv = None
     if args.out:
         out_path = Path(args.out)
@@ -181,28 +178,41 @@ def cmd_certify(args) -> int:
             f"more than 2M+2N-1 = {bound} distinct points",
             bound=bound,
         )
-    pts = r * np.exp(2j * np.pi * np.arange(k) / k)
-    cert = certify_finite_points(b_f, b_g, pts, tol=args.tol)
+    cert = certify_finite_points(b_f, b_g, Circle(0.0, r).sample_points(k), tol=args.tol)
     report = {"command": "certify", "certificate": cert.to_json()}
     return _emit(report, EXIT_OK if cert.equal_on_circle else EXIT_INCONCLUSIVE)
 
 
-def _parse_point_set(spec: str, n: int):
+def _segment_points(start: complex, end: complex, n: int) -> np.ndarray:
+    """``n`` equally spaced points on the segment [start, end]."""
+    if n < 1:
+        raise ValueError("n_points must be at least 1")
+    if not np.all(np.isfinite([start, end])):
+        raise ValueError(f"segment endpoint is not finite: {start}, {end}")
+    if n == 1:
+        return np.array([start])
+    return start + np.linspace(0.0, 1.0, n) * (end - start)
+
+
+def _parse_point_set(spec: str, n: int) -> np.ndarray:
     kind, _, rest = spec.partition(":")
     if kind == "circle":
-        return CircleGrid(_parse_circle(rest), n)
+        circle = _parse_circle(rest)
+        if n < 1:
+            raise ValueError("n_points must be at least 1")
+        return circle.sample_points(n)
     if kind == "segment":
         parts = rest.split(",")
         if len(parts) != 4:
             raise ValueError(f"segment must be 'x1,y1,x2,y2', got {rest!r}")
         x1, y1, x2, y2 = (float(p) for p in parts)
-        return LineSegmentGrid(complex(x1, y1), complex(x2, y2), n)
+        return _segment_points(complex(x1, y1), complex(x2, y2), n)
     if kind == "file":
         try:
             re, im = read_csv(rest, "re,im")
         except ValueError as exc:
             raise ValueError(f"{rest}: {exc}") from exc
-        return ExplicitPoints(complex_points(re, im))
+        return ExplicitPoints(complex_points(re, im)).points()
     raise ValueError(
         f"set spec must be 'circle:cx,cy,r', 'segment:x1,y1,x2,y2' or 'file:path', got {spec!r}"
     )
@@ -211,8 +221,8 @@ def _parse_point_set(spec: str, n: int):
 def cmd_verify(args) -> int:
     f = _load_expr(args.f)
     g = _load_expr(args.g)
-    point_set = _parse_point_set(args.set, args.n)
-    rep = verify_equal_modulus(f, g, point_set, tol=args.tol)
+    points = _parse_point_set(args.set, args.n)
+    rep = verify_equal_modulus(f, g, points, tol=args.tol)
     report = {"command": "verify", "report": rep.to_json()}
     return _emit(report, EXIT_OK if rep.within_tol else EXIT_INCONCLUSIVE)
 
@@ -223,8 +233,7 @@ def cmd_sample(args) -> int:
     n = int(args.n)
     if n < 1:
         raise ValueError("--n must be positive")
-    grid = CircleGrid(circle, n, phase_offset=args.phase_offset)
-    samples = modulus_samples(f, grid)
+    samples = modulus_samples(f, circle.sample_points(n, args.phase_offset))
     is_boundary_grid = (
         abs(circle.center) == 0.0 and circle.radius == 1.0 and args.phase_offset == 0.0
     )
@@ -248,8 +257,8 @@ def cmd_sample(args) -> int:
 def _pair_verification(f, g, sets: dict, witness_points) -> dict:
     out: dict = {"advertised_sets": {}}
     worst = 0.0
-    for name, grid in sets.items():
-        rep = verify_equal_modulus(f, g, grid)
+    for name, points in sets.items():
+        rep = verify_equal_modulus(f, g, points)
         out["advertised_sets"][name] = rep.to_json()
         worst = max(worst, rep.max_deviation)
     out["max_deviation_on_advertised_sets"] = worst
@@ -261,8 +270,7 @@ def _pair_verification(f, g, sets: dict, witness_points) -> dict:
     return out
 
 
-def _unimodularity(expr, grid) -> dict:
-    pts = grid.points()
+def _unimodularity(expr, pts) -> dict:
     dev = float(np.abs(np.abs(np.asarray(expr(pts), dtype=complex)) - 1.0).max())
     return {"max_unimodularity_deviation": dev, "n_points": len(pts)}
 
@@ -279,12 +287,12 @@ def cmd_example(args) -> int:
             k = args.k
             f, g = rational_angle_pair(k, args.c1, args.c2)
         sets = {
-            f"line_{m}": LineSegmentGrid(
+            f"line_{m}": _segment_points(
                 -0.9 * np.exp(1j * np.pi * m / k), 0.9 * np.exp(1j * np.pi * m / k), n
             )
             for m in range(k)
         }
-        extra = _pair_verification(f, g, sets, CircleGrid(Circle(0.0, 0.5), n))
+        extra = _pair_verification(f, g, sets, Circle(0.0, 0.5).sample_points(n))
         pair = (f, g)
     elif name == "finite_set":
         r = args.r
@@ -293,7 +301,7 @@ def cmd_example(args) -> int:
         v = BlaschkeProduct(1.0, (0.6,))
         f, g = finite_set_pair(xs, args.alpha, u, v)
         extra = _pair_verification(
-            f, g, {"unit_circle": CircleGrid(UNIT_CIRCLE, n)}, CircleGrid(Circle(0.0, 0.5), n)
+            f, g, {"unit_circle": UNIT_CIRCLE.sample_points(n)}, Circle(0.0, 0.5).sample_points(n)
         )
         alpha = complex(args.alpha)
         pts = np.array(xs)
@@ -306,28 +314,22 @@ def cmd_example(args) -> int:
     elif name == "right_angle_circles":
         built = two_circle_right_angle_pair(args.c1, args.c2)
         sets = {
-            "circle1": CircleGrid(built.circle1, n),
-            "circle2": CircleGrid(built.circle2, n),
+            "circle1": built.circle1.sample_points(n),
+            "circle2": built.circle2.sample_points(n),
         }
-        extra = _pair_verification(built.f, built.g, sets, CircleGrid(Circle(0.0, 0.45), n))
+        extra = _pair_verification(built.f, built.g, sets, Circle(0.0, 0.45).sample_points(n))
         extra["circles"] = [built.circle1.to_json(), built.circle2.to_json()]
         extra["base_angle"] = built.base_angle
         pair = (built.f, built.g)
     elif name == "strip":
         strip = StripMap()
-        edge0 = ExplicitPoints(tuple(np.linspace(-3.0, 3.0, n).astype(complex)))
-        edge1 = ExplicitPoints(tuple(1j + np.linspace(-3.0, 3.0, n)))
-        interior = ExplicitPoints(
-            tuple(
-                complex(x, y)
-                for y in 0.1 + 0.8 * np.arange(24) / 24
-                for x in np.linspace(-2.0, 2.0, 21)
-            )
-        )
-        inside = np.abs(strip(interior.points()))
+        edge = np.linspace(-3.0, 3.0, n)
+        rows = 0.1 + 0.8 * np.arange(24) / 24
+        interior = np.array([complex(x, y) for y in rows for x in np.linspace(-2.0, 2.0, 21)])
+        inside = np.abs(strip(interior))
         extra = {
-            "edge_im0": _unimodularity(strip, edge0),
-            "edge_im1": _unimodularity(strip, edge1),
+            "edge_im0": _unimodularity(strip, edge.astype(complex)),
+            "edge_im1": _unimodularity(strip, 1j + edge),
             "interior_max_modulus": float(inside.max()),
             "maps_strip_into_disc": bool(inside.max() < 1.0),
         }
@@ -357,8 +359,16 @@ def cmd_example(args) -> int:
     return _emit(report, EXIT_OK)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, so ``main`` reports them; sub-parsers inherit this."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="discphase",
         description="Modulus-only reconstruction and uniqueness certificates on the unit disc",
     )
@@ -427,8 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _INPUT_ERRORS as exc:
         return _fail(EXIT_INVALID, str(exc))

@@ -131,6 +131,9 @@ class Circle:
         return self.center + self.radius * complex(math.cos(theta), math.sin(theta))
 
     def sample_points(self, n: int, phase_offset: float = 0.0) -> np.ndarray:
+        """``n`` equally spaced points, the first at angle ``phase_offset``."""
+        if not math.isfinite(phase_offset):
+            raise ValueError(f"phase_offset must be finite, got {phase_offset!r}")
         t = phase_offset + 2.0 * np.pi * np.arange(n) / n
         return self.center + self.radius * np.exp(1j * t)
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blaschke import read_csv, write_csv
+from .blaschke import ModulusData, modulus_samples, read_csv, write_csv
 from .errors import EvaluationTooCloseToBoundary, ZeroOnBoundary
+from .geometry import UNIT_CIRCLE
 
 _MIN_GRID = 16
 
@@ -24,54 +25,50 @@ _MIN_GRID = 16
 _RHO_MAX = 0.99
 
 
-class BoundaryModulus:
-    """Positive modulus values on the uniform grid t_k = 2 pi k / n."""
+class BoundaryModulus(ModulusData):
+    """Positive moduli at the points e^{i t_k} of the uniform grid t_k = 2 pi k / n."""
 
-    __slots__ = ("values", "_log")
+    __slots__ = ("_log",)
 
     def __init__(self, values):
-        arr = np.asarray(values, dtype=float).ravel()
-        if len(arr) < _MIN_GRID:
-            raise ValueError(f"grid size must be >= {_MIN_GRID}, got {len(arr)}")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+        moduli = np.asarray(values, dtype=float).ravel()
+        if len(moduli) < _MIN_GRID:
+            raise ValueError(f"grid size must be >= {_MIN_GRID}, got {len(moduli)}")
+        if not np.all(np.isfinite(moduli)) or np.any(moduli <= 0.0):
             raise ValueError("modulus values must be positive and finite")
-        self.values = arr
-        self._log = np.log(arr)
+        super().__init__(UNIT_CIRCLE, UNIT_CIRCLE.sample_points(len(moduli)), moduli)
+        self._log = np.log(self.moduli)
 
     @property
     def n(self) -> int:
-        return len(self.values)
+        return len(self.moduli)
 
     @property
     def angles(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.n) / self.n
 
     def to_csv(self, path) -> None:
-        write_csv(path, "t,modulus", (self.angles, self.values))
+        write_csv(path, "t,modulus", (self.angles, self.moduli))
 
     @classmethod
     def from_csv(cls, path) -> "BoundaryModulus":
         t, ms = read_csv(path, "t,modulus")
-        n = len(t)
-        if n < _MIN_GRID:
-            raise ValueError(f"grid size must be >= {_MIN_GRID}, got {n}")
-        expected = 2.0 * np.pi * np.arange(n) / n
+        boundary = cls(ms)
         spacing = np.diff(t)
-        if len(spacing) and not float(np.abs(spacing - spacing[0]).max()) <= 1e-12:
+        if not float(np.abs(spacing - spacing[0]).max()) <= 1e-12:
             raise ValueError("grid is not uniform (spacing deviates by more than 1e-12)")
-        if not float(np.abs(t - expected).max()) <= 1e-9:
+        if not float(np.abs(t - boundary.angles).max()) <= 1e-9:
             raise ValueError("grid must start at t = 0 with spacing 2 pi / n")
-        return cls(ms)
+        return boundary
 
 
 class OuterFunction:
     """Outer function with the given boundary modulus; callable on |z| <= 0.99."""
 
-    __slots__ = ("boundary", "_nodes")
+    __slots__ = ("boundary",)
 
     def __init__(self, boundary: BoundaryModulus):
         self.boundary = boundary
-        self._nodes = np.exp(1j * boundary.angles)
 
     def __call__(self, z):
         """Evaluate the Schwarz-integral exponential at scalar or array z."""
@@ -80,7 +77,7 @@ class OuterFunction:
             worst = float(np.abs(zz).max())
             raise EvaluationTooCloseToBoundary(f"|z| = {worst!r} exceeds rho_max = {_RHO_MAX!r}")
         flat = zz.ravel()
-        nodes = self._nodes[None, :]
+        nodes = self.boundary.points[None, :]
         kernel = (nodes + flat[:, None]) / (nodes - flat[:, None])
         exponent = kernel @ self.boundary._log / self.boundary.n
         out = np.exp(exponent).reshape(zz.shape)
@@ -90,13 +87,13 @@ class OuterFunction:
 def boundary_modulus_of(func, n: int) -> BoundaryModulus:
     """Sample |func| on the uniform n-point boundary grid.
 
-    Rejects data with min modulus <= 1e-10: zeros on the circle must be
-    divided out before an outer factor makes sense.
+    A pole on the circle raises EvaluationAtPole.  Data with min modulus
+    <= 1e-10 raises ZeroOnBoundary: zeros on the circle must be divided
+    out before an outer factor makes sense.
     """
-    t = 2.0 * np.pi * np.arange(n) / n
-    values = np.abs(np.asarray(func(np.exp(1j * t)), dtype=complex))
-    if float(values.min()) <= 1e-10:
+    moduli = modulus_samples(func, UNIT_CIRCLE.sample_points(n)).moduli
+    if float(moduli.min()) <= 1e-10:
         raise ZeroOnBoundary(
-            f"modulus as small as {float(values.min()):.3e} on the unit circle"
+            f"modulus as small as {float(moduli.min()):.3e} on the unit circle"
         )
-    return BoundaryModulus(values)
+    return BoundaryModulus(moduli)

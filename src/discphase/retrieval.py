@@ -28,7 +28,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, align_constant, cancel_common, dedup_indices
+from .blaschke import (
+    BlaschkeProduct,
+    ModulusData,
+    align_constant,
+    cancel_common,
+    dedup_indices,
+    modulus_samples,
+)
 from .errors import (
     DegreeCapExceeded,
     DiscPhaseError,
@@ -72,45 +79,13 @@ class RetrievalConfig:
         _check_tolerance("residual_tol", self.residual_tol)
 
 
-class ModulusData:
-    """Modulus samples bound to the circle they were taken on."""
-
-    __slots__ = ("circle", "points", "moduli")
-
-    def __init__(self, circle: Circle, points, moduli):
-        self.circle = circle
-        self.points = np.asarray(points, dtype=complex).ravel()
-        self.moduli = np.asarray(moduli, dtype=float).ravel()
-        if self.points.shape != self.moduli.shape:
-            raise ValueError("points and moduli must have equal length")
-        if len(self.points) == 0:
-            raise ValueError("empty sample set")
-        finite = np.isfinite(self.points) & np.isfinite(self.moduli)
-        if not np.all(finite & (self.moduli >= 0)):
-            raise ValueError("points and moduli must be finite, moduli non-negative")
-        off = np.abs(np.abs(self.points - circle.center) - circle.radius)
-        if float(off.max()) > 1e-10:
-            raise ValueError(
-                f"sample points deviate from the circle by up to {float(off.max()):.3e}"
-            )
-        angles = np.sort(np.angle(self.points - circle.center))
-        gaps = np.diff(angles)
-        min_gap = min(
-            float(gaps.min()) if len(gaps) else 2 * np.pi,
-            2 * np.pi - (angles[-1] - angles[0]),
-        )
-        if min_gap * circle.radius <= 1e-12:
-            raise ValueError("sample points are not pairwise distinct at 1e-12")
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
 def sample_modulus(func, circle: Circle, n: int) -> ModulusData:
-    """Forward measurement model: |func| on an n-point grid of the circle."""
-    pts = circle.sample_points(n)
-    vals = np.abs(np.asarray(func(pts), dtype=complex))
-    return ModulusData(circle, pts, vals)
+    """Forward measurement model: |func| on an n-point grid of the circle.
+
+    A pole on the grid raises EvaluationAtPole.
+    """
+    samples = modulus_samples(func, circle.sample_points(n))
+    return ModulusData(circle, samples.points, samples.moduli)
 
 
 @contextmanager
@@ -261,14 +236,9 @@ class RetrievalResult:
         return self.blaschke(z) * self.outer(z)
 
     def to_json(self, outer_csv: str | None) -> dict:
-        if outer_csv is not None:
-            outer_ref: dict = {"n": self.outer.boundary.n, "csv": outer_csv}
-        else:
-            outer_ref = {
-                "n": self.outer.boundary.n,
-                "csv": None,
-                "values": [float(v) for v in self.outer.boundary.values],
-            }
+        outer_ref: dict = {"n": self.outer.boundary.n, "csv": outer_csv}
+        if outer_csv is None:
+            outer_ref["values"] = self.outer.boundary.moduli.tolist()
         return {
             "blaschke": self.blaschke.to_json(),
             "outer_boundary": outer_ref,
@@ -280,16 +250,16 @@ class RetrievalResult:
 
 
 def _boundary_from_data(data: ModulusData) -> BoundaryModulus:
+    if isinstance(data, BoundaryModulus):
+        return data
     circle = data.circle
     if abs(circle.center) > 1e-12 or abs(circle.radius - 1.0) > 1e-12:
         raise ValueError("boundary data must be sampled on the unit circle")
     t = np.mod(np.angle(data.points), 2.0 * np.pi)
     t = np.where(t > 2.0 * np.pi - 1e-9, t - 2.0 * np.pi, t)
     order = np.argsort(t)
-    t_sorted = t[order]
-    n = len(t_sorted)
-    expected = 2.0 * np.pi * np.arange(n) / n
-    if float(np.abs(t_sorted - expected).max()) > 1e-9:
+    expected = 2.0 * np.pi * np.arange(len(t)) / len(t)
+    if float(np.abs(t[order] - expected).max()) > 1e-9:
         raise ValueError(
             "boundary samples must form the uniform grid t_k = 2 pi k / n "
             "starting at t = 0"
@@ -303,6 +273,9 @@ def retrieve_two_circles(
     config: RetrievalConfig | None = None,
 ) -> RetrievalResult:
     """Reconstruct B * u from moduli on the unit circle and a centred interior one.
+
+    The unit-circle data is a BoundaryModulus, or any ModulusData that
+    forms the uniform grid t_k = 2 pi k / n in some order.
 
     Stage errors are tagged with the stage name: boundary -> outer_division
     -> degree_search -> assemble.
@@ -342,8 +315,8 @@ def retrieve_two_circles(
     with _stage("assemble"):
         # max modulus errors of B * u on the unit-circle grid and the inner
         # samples; u_abs is reused so the n x n outer evaluation is not repeated
-        nodes = np.exp(1j * boundary.angles)
-        residual_t = float(np.abs(np.abs(b(nodes)) * boundary.values - boundary.values).max())
+        m_t = boundary.moduli
+        residual_t = float(np.abs(np.abs(b(boundary.points)) * m_t - m_t).max())
         residual_rt = float(
             np.abs(np.abs(b(data_inner.points)) * u_abs - data_inner.moduli).max()
         )
@@ -516,10 +489,11 @@ class EqualModulusReport:
         }
 
 
-def verify_equal_modulus(f, g, point_set, tol: float | None = None) -> EqualModulusReport:
-    """Max |(|f| - |g|)| over a point set, with the worst point."""
-    getter = getattr(point_set, "points", None)
-    pts = getter() if callable(getter) else np.asarray(point_set, dtype=complex)
+def verify_equal_modulus(f, g, points, tol: float | None = None) -> EqualModulusReport:
+    """Max |(|f| - |g|)| over an array of points, with the worst point."""
+    pts = np.asarray(points, dtype=complex).ravel()
+    if len(pts) == 0:
+        raise ValueError("empty point set")
     fv = np.abs(np.asarray(f(pts), dtype=complex))
     gv = np.abs(np.asarray(g(pts), dtype=complex))
     bad = ~np.isfinite(fv) | ~np.isfinite(gv)

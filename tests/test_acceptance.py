@@ -12,8 +12,6 @@ import numpy as np
 from discphase import (
     BlaschkeProduct,
     Circle,
-    CircleGrid,
-    LineSegmentGrid,
     OuterFunction,
     PairKind,
     Polynomial,
@@ -177,12 +175,11 @@ def test_acceptance_3_certificate_soundness_and_completeness():
 def test_acceptance_4_counterexample_residuals():
     worst_set = 0.0
     worst_witness = np.inf
-    witness_grid = CircleGrid(Circle(0.0, 0.5), 512)
+    witness_grid = Circle(0.0, 0.5).sample_points(512)
 
     def check_pair(f, g, sets, witness_points=witness_grid):
         nonlocal worst_set, worst_witness
-        for grid in sets:
-            pts = grid.points()
+        for pts in sets:
             for fn in (f, g):
                 dev = float(np.abs(np.abs(np.asarray(fn(pts), dtype=complex)) - 1.0).max())
                 worst_set = max(worst_set, dev)
@@ -195,18 +192,13 @@ def test_acceptance_4_counterexample_residuals():
     f, g = perpendicular_lines_pair()
     check_pair(
         f, g,
-        [LineSegmentGrid(-0.9, 0.9, 500), LineSegmentGrid(-0.9j, 0.9j, 500)],
+        [np.linspace(-0.9, 0.9, 500), 1j * np.linspace(-0.9, 0.9, 500)],
     )
 
     # general rational-angle pairs, k up to 6
     for k in range(2, 7):
         fk, gk = rational_angle_pair(k, 2.0, 3.0)
-        sets = [
-            LineSegmentGrid(
-                -0.9 * np.exp(1j * np.pi * m / k), 0.9 * np.exp(1j * np.pi * m / k), 500
-            )
-            for m in range(k)
-        ]
+        sets = [np.exp(1j * np.pi * m / k) * np.linspace(-0.9, 0.9, 500) for m in range(k)]
         check_pair(fk, gk, sets)
 
     # finite-set pair: unimodular on the unit circle, equal on X
@@ -214,7 +206,7 @@ def test_acceptance_4_counterexample_residuals():
     v = BlaschkeProduct(1.0, (0.6,))
     xs = (0.5, -0.5)
     ff, gg = finite_set_pair(xs, 0.3, u, v)
-    check_pair(ff, gg, [CircleGrid(UNIT_CIRCLE, 512)])
+    check_pair(ff, gg, [UNIT_CIRCLE.sample_points(512)])
     for x in xs:
         assert abs(ff(x) - 0.3) < 1e-13 and abs(gg(x) - 0.3) < 1e-13
 

@@ -17,7 +17,6 @@ EXPORTS = [
     "BoundaryModulus",
     "Circle",
     "CircleConfig",
-    "CircleGrid",
     "CircleNotInsideDisc",
     "DegenerateAlignment",
     "DegreeCapExceeded",
@@ -32,7 +31,6 @@ EXPORTS = [
     "IdenticalCircles",
     "InversePointsReport",
     "Line",
-    "LineSegmentGrid",
     "ModulusData",
     "ModulusEquation",
     "ModulusFit",
@@ -95,7 +93,6 @@ EXPORTS = [
 OPTIONS = [
     "Circle.sample_points(phase_offset)",
     "CircleConfig.__init__(angle)",
-    "CircleGrid.__init__(phase_offset)",
     "EqualModulusReport.__init__(tol)",
     "RetrievalConfig.__init__(degree_max)",
     "RetrievalConfig.__init__(residual_tol)",

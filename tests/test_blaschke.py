@@ -9,19 +9,19 @@ from hypothesis import strategies as st
 from discphase import (
     BlaschkeProduct,
     Circle,
-    CircleGrid,
     DegenerateAlignment,
     EvaluationAtPole,
     ExplicitPoints,
-    LineSegmentGrid,
     ModulusSamples,
     RationalFunction,
     UNIT_CIRCLE,
     align_constant,
+    boundary_modulus_of,
     certify_finite_points,
     equal_up_to_unimodular,
     modulus_samples,
     perpendicular_lines_pair,
+    sample_modulus,
 )
 from discphase.blaschke import complex_points, dedup_indices, read_csv, write_csv
 from conftest import random_blaschke
@@ -78,7 +78,7 @@ def test_construction_rejects_non_finite_constant_and_zeros(constant, zeros):
 @pytest.mark.parametrize("phase_offset", [math.nan, math.inf])
 def test_circle_grid_rejects_non_finite_phase_offset(phase_offset):
     with pytest.raises(ValueError, match="phase_offset"):
-        CircleGrid(Circle(0.0, 0.5), 8, phase_offset=phase_offset)
+        Circle(0.0, 0.5).sample_points(8, phase_offset)
 
 
 def test_maximum_modulus_bound():
@@ -100,50 +100,53 @@ def test_modulus_below_one_inside_disc(z):
 
 
 def test_modulus_samples_constant_function():
-    samples = modulus_samples(lambda z: 2.0 * np.ones(np.shape(z)), CircleGrid(UNIT_CIRCLE, 16))
+    samples = modulus_samples(lambda z: 2.0 * np.ones(np.shape(z)), UNIT_CIRCLE.sample_points(16))
     assert np.allclose(samples.moduli, 2.0)
 
 
 def test_modulus_samples_identity_on_inner_circle():
     b = BlaschkeProduct(1.0, (0.0,))
-    samples = modulus_samples(b, CircleGrid(Circle(0.0, 0.5), 8))
+    samples = modulus_samples(b, Circle(0.0, 0.5).sample_points(8))
     assert np.abs(samples.moduli - 0.5).max() < 1e-15
 
 
 def test_modulus_samples_unimodular_on_boundary():
     rng = np.random.default_rng(7)
     b = random_blaschke(rng, 4)
-    samples = modulus_samples(b, CircleGrid(UNIT_CIRCLE, 64))
+    samples = modulus_samples(b, UNIT_CIRCLE.sample_points(64))
     assert np.abs(samples.moduli - 1.0).max() < 1e-12
 
 
 def test_classic_pair_unimodular_on_segments():
     f, _ = perpendicular_lines_pair()
-    grid = LineSegmentGrid(-0.9, 0.9, 101)
-    samples = modulus_samples(f, grid)
+    samples = modulus_samples(f, np.linspace(-0.9, 0.9, 101))
     assert np.abs(samples.moduli - 1.0).max() < 1e-12
 
 
 def test_modulus_samples_reports_offending_index():
     b = BlaschkeProduct(1.0, (0.5,))
-    grid = ExplicitPoints((0.1, 2.0, 0.3))  # 2.0 is the reflected pole
+    points = np.array([0.1, 2.0, 0.3])  # 2.0 is the reflected pole
     with pytest.raises(EvaluationAtPole, match="index 1"):
-        modulus_samples(b, grid)
+        modulus_samples(b, points)
 
 
 def test_modulus_samples_rejects_non_finite_modulus():
     f = RationalFunction.from_zeros_poles([], [0.5])  # 1 / (z - 0.5) is inf at 0.5
     with pytest.raises(EvaluationAtPole, match=r"not finite at point index 0 \(\(0\.5\+0j\)\)"):
-        modulus_samples(f, CircleGrid(Circle(0.0, 0.5), 8))
+        modulus_samples(f, Circle(0.0, 0.5).sample_points(8))
+    # the other two samplers go through modulus_samples and name the same cause
+    with pytest.raises(EvaluationAtPole, match=r"not finite at point index 0 \(\(0\.5\+0j\)\)"):
+        sample_modulus(f, Circle(0.0, 0.5), 8)
+    g = RationalFunction.from_zeros_poles([], [1.0])
+    with pytest.raises(EvaluationAtPole, match=r"not finite at point index 0 \(\(1\+0j\)\)"):
+        boundary_modulus_of(g, 16)
 
 
 def test_point_sets():
-    seg = LineSegmentGrid(0.0, 1.0, 5)
-    assert seg.points()[0] == 0.0 and seg.points()[-1] == 1.0
     explicit = ExplicitPoints((0.1, 0.1, 0.2))
     assert len(explicit.points()) == 2
-    grid = CircleGrid(Circle(0.0, 0.5), 4, phase_offset=np.pi / 4)
-    assert grid.points()[0] == pytest.approx(0.5 * np.exp(1j * np.pi / 4))
+    grid = Circle(0.0, 0.5).sample_points(4, phase_offset=np.pi / 4)
+    assert grid[0] == pytest.approx(0.5 * np.exp(1j * np.pi / 4))
 
 
 # ------------------------------------------------------------- deduplication

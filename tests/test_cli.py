@@ -428,6 +428,33 @@ def test_malformed_descriptors_and_paths_are_invalid_input(
     assert rep["status"] == "invalid-input"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "--c1", "0.2,0,0.3", "--c2", "-0.2,0,0.3"], "--c2: expected one argument"),
+        (["classify", "--c1=0,0,0.8", "--c2=0,0,0.2", "--bogus"], "unrecognized arguments: --bogus"),
+        (["classify", "--c1=0,0,0.8"], "the following arguments are required: --c2"),
+        (["verify", "--f", "f.json", "--g", "g.json", "--set", "circle:0,0,0.5", "--n", "abc"],
+         "invalid int value: 'abc'"),
+    ],
+)
+def test_usage_errors_are_invalid_input(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    rep = _strict_json(captured.out)
+    assert code == 2
+    assert rep["status"] == "invalid-input"
+    assert message in rep["error"]
+    assert captured.err.startswith("usage: discphase")
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["classify", "--help"])
+    assert info.value.code == 0
+    assert "--c1" in capsys.readouterr().out
+
+
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("top coefficient failed to cancel")

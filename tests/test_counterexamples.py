@@ -6,9 +6,7 @@ import pytest
 from discphase import (
     BlaschkeProduct,
     Circle,
-    CircleGrid,
     EvaluationAtPole,
-    LineSegmentGrid,
     MoebiusMap,
     MoebiusOf,
     PowerComposite,
@@ -54,8 +52,7 @@ def test_classic_pair_differs_off_the_lines():
 
 def test_classic_pair_unimodular_on_both_segments():
     f, g = perpendicular_lines_pair()
-    for grid in (LineSegmentGrid(-0.9, 0.9, 500), LineSegmentGrid(-0.9j, 0.9j, 500)):
-        pts = grid.points()
+    for pts in (np.linspace(-0.9, 0.9, 500), 1j * np.linspace(-0.9, 0.9, 500)):
         for fn in (f, g):
             assert np.abs(np.abs(fn(pts)) - 1.0).max() < 1e-13
 
@@ -123,7 +120,7 @@ def test_finite_set_pair_differs_off_x():
     u = BlaschkeProduct(1.0, (0.2,))
     v = BlaschkeProduct(1.0, (0.6,))
     f, g = finite_set_pair((0.5, -0.5), 0.3, u, v)
-    report = verify_equal_modulus(f, g, CircleGrid(Circle(0.0, 0.5), 256))
+    report = verify_equal_modulus(f, g, Circle(0.0, 0.5).sample_points(256))
     assert report.max_deviation > 1e-3
 
 
@@ -173,9 +170,7 @@ def test_right_angle_pair_rejects_non_finite_parameters(c1):
 def test_right_angle_pair_equal_modulus_on_both_circles():
     built = two_circle_right_angle_pair()
     for circle in (built.circle1, built.circle2):
-        report = verify_equal_modulus(
-            built.f, built.g, CircleGrid(circle, 512, phase_offset=0.01)
-        )
+        report = verify_equal_modulus(built.f, built.g, circle.sample_points(512, 0.01))
         assert report.max_deviation < 1e-11
 
 

@@ -5,7 +5,10 @@ from discphase import (
     BlaschkeProduct,
     BoundaryModulus,
     EvaluationTooCloseToBoundary,
+    ModulusData,
+    ModulusSamples,
     OuterFunction,
+    UNIT_CIRCLE,
     ZeroOnBoundary,
     boundary_modulus_of,
 )
@@ -71,13 +74,13 @@ def test_outer_call_and_radius_cap():
 def test_boundary_modulus_of_blaschke_is_one():
     b = BlaschkeProduct(1.0, (0.3, -0.2j))
     bm = boundary_modulus_of(b, 64)
-    assert np.abs(bm.values - 1.0).max() < 1e-12
+    assert np.abs(bm.moduli - 1.0).max() < 1e-12
 
 
 def test_boundary_modulus_of_outer_factor():
     bm = boundary_modulus_of(lambda z: 1 + z / 2, 64)
     t = 2 * np.pi * np.arange(64) / 64
-    assert np.allclose(bm.values, np.abs(1 + np.exp(1j * t) / 2))
+    assert np.allclose(bm.moduli, np.abs(1 + np.exp(1j * t) / 2))
 
 
 def test_boundary_zero_rejected():
@@ -86,6 +89,9 @@ def test_boundary_zero_rejected():
 
 
 def test_grid_validation():
+    bm = BoundaryModulus(np.ones(16))
+    assert isinstance(bm, ModulusData) and isinstance(bm, ModulusSamples)
+    assert np.array_equal(bm.points, UNIT_CIRCLE.sample_points(16))
     with pytest.raises(ValueError):
         BoundaryModulus(np.ones(8))  # too coarse
     with pytest.raises(ValueError):
@@ -97,7 +103,7 @@ def test_boundary_csv_roundtrip(tmp_path):
     path = tmp_path / "boundary.csv"
     bm.to_csv(path)
     back = BoundaryModulus.from_csv(path)
-    assert np.array_equal(back.values, bm.values)
+    assert np.array_equal(back.moduli, bm.moduli)
 
 
 def test_boundary_csv_rejects_nonuniform_grid(tmp_path):

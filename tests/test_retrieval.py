@@ -6,10 +6,8 @@ import pytest
 from discphase import (
     BlaschkeProduct,
     Circle,
-    CircleGrid,
     DegreeCapExceeded,
     DiscPhaseError,
-    LineSegmentGrid,
     ModulusData,
     ModulusMismatchOnCircle,
     Polynomial,
@@ -18,6 +16,7 @@ from discphase import (
     UNIT_CIRCLE,
     ZeroOnCircle,
     align_constant,
+    boundary_modulus_of,
     certify_finite_points,
     fit_modulus_rational,
     parametrize_pair,
@@ -215,6 +214,11 @@ def test_retrieve_blaschke_times_outer():
     assert np.abs(fv - lam * gv).max() < 1e-7
     # outer factor alone matches 1 + z/2 up to the same constant
     assert np.abs(result.outer(pts) * lam - (1 + 0.5 * pts)).max() < 1e-7
+    # a BoundaryModulus is boundary data as it stands, with the same result
+    from_boundary = retrieve_two_circles(
+        boundary_modulus_of(f, 256), sample_modulus(f, Circle(0.0, 0.5), 256)
+    )
+    assert from_boundary.to_json(None) == result.to_json(None)
 
 
 def test_retrieve_outer_only():
@@ -398,14 +402,20 @@ def test_parametrize_rejects_zero_on_circle():
 
 def test_verify_identical():
     f, _ = perpendicular_lines_pair()
-    report = verify_equal_modulus(f, f, CircleGrid(Circle(0.0, 0.5), 64))
+    report = verify_equal_modulus(f, f, Circle(0.0, 0.5).sample_points(64))
     assert report.max_deviation == 0.0
 
 
 def test_verify_classic_pair_on_lines_and_off():
     f, g = perpendicular_lines_pair()
-    on_lines = verify_equal_modulus(f, g, LineSegmentGrid(-0.9, 0.9, 256))
+    on_lines = verify_equal_modulus(f, g, np.linspace(-0.9, 0.9, 256))
     assert on_lines.max_deviation < 1e-12
-    off = verify_equal_modulus(f, g, CircleGrid(Circle(0.0, 0.5), 256))
+    off = verify_equal_modulus(f, g, Circle(0.0, 0.5).sample_points(256))
     assert off.max_deviation > 1e-3
     assert abs(abs(off.worst_point) - 0.5) < 1e-12
+
+
+def test_verify_rejects_empty_point_set():
+    f, _ = perpendicular_lines_pair()
+    with pytest.raises(ValueError, match="empty point set"):
+        verify_equal_modulus(f, f, np.array([]))
