@@ -215,7 +215,8 @@ class ModulusSamples:
 
     @classmethod
     def from_csv(cls, path) -> "ModulusSamples":
-        """The samples of an ``index,re,im,modulus`` file, bound to no circle."""
+        """The samples of an ``index,re,im,modulus`` file: a plain ModulusSamples,
+        bound to no circle, whichever class this is called on."""
         _, re, im, moduli = read_csv(path, "index,re,im,modulus")
         return ModulusSamples(complex_points(re, im), moduli)
 
