@@ -236,9 +236,14 @@ class RetrievalResult:
         return self.blaschke(z) * self.outer(z)
 
     def to_json(self, outer_csv: str | None) -> dict:
-        outer_ref: dict = {"n": self.outer.boundary.n, "csv": outer_csv}
-        if outer_csv is None:
-            outer_ref["values"] = self.outer.boundary.moduli.tolist()
+        if outer_csv is not None:
+            outer_ref: dict = {"n": self.outer.boundary.n, "csv": outer_csv}
+        else:
+            outer_ref = {
+                "n": self.outer.boundary.n,
+                "csv": None,
+                "values": [float(v) for v in self.outer.boundary.moduli],
+            }
         return {
             "blaschke": self.blaschke.to_json(),
             "outer_boundary": outer_ref,

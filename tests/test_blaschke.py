@@ -231,6 +231,21 @@ def test_modulus_samples_csv_rejects_bad_header(tmp_path):
         ModulusSamples.from_csv(path)
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("", "empty sample set"),
+        ("0,0.5,0.0,nan\n", "must be finite, moduli non-negative"),
+        ("0,0.5,0.0,-1.0\n", "must be finite, moduli non-negative"),
+    ],
+)
+def test_modulus_samples_csv_rejects_bad_samples(tmp_path, rows, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("index,re,im,modulus\n" + rows)
+    with pytest.raises(ValueError, match=message):
+        ModulusSamples.from_csv(path)
+
+
 @pytest.mark.parametrize("header", ["t,modulus", "index,re,im,modulus", "re,im"])
 def test_shared_csv_reader_rules(tmp_path, header):
     names = header.split(",")

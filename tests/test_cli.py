@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from discphase import cli
 from discphase.cli import main
 
 SQRT2 = math.sqrt(2.0)
@@ -538,6 +539,12 @@ def test_verify_rejects_non_finite_point(capsys, tmp_path, spec):
     assert code == 2
     assert rep["status"] == "invalid-input"
     assert "not finite" in rep["error"]
+
+
+def test_segment_points_end_on_the_endpoints():
+    pts = cli._segment_points(0.0, 1.0, 5)
+    assert pts[0] == 0.0 and pts[-1] == 1.0
+    assert cli._segment_points(0.25j, 1.0, 1).tolist() == [0.25j]
 
 
 def test_verify_bad_set_spec(capsys, tmp_path):
