@@ -27,7 +27,6 @@ from .blaschke import (
     complex_points,
     modulus_samples,
     read_csv,
-    write_csv,
 )
 from .counterexamples import (
     StripMap,
@@ -238,9 +237,10 @@ def cmd_sample(args) -> int:
         abs(circle.center) == 0.0 and circle.radius == 1.0 and args.phase_offset == 0.0
     )
     if is_boundary_grid:
-        # unit-circle data uses the t,modulus format consumed by `retrieve`
+        # unit-circle data uses the t,modulus format consumed by `retrieve`,
+        # and a grid `retrieve` would reject is not written
+        BoundaryModulus(samples.moduli).to_csv(args.out)
         fmt = "t,modulus"
-        write_csv(args.out, fmt, (2.0 * np.pi * np.arange(n) / n, samples.moduli))
     else:
         samples.to_csv(args.out)
         fmt = "index,re,im,modulus"

@@ -11,7 +11,7 @@ the unit circle plus a finite set, does not force equality of functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Union
 
 import numpy as np
@@ -358,15 +358,9 @@ class InversePointsReport:
 
     def to_json(self) -> dict:
         return {
+            **asdict(self),
             "circle1": self.circle1.to_json(),
             "circle2": self.circle2.to_json(),
-            "z_plus": self.z_plus,
-            "z_minus": self.z_minus,
-            "constant_on_c1": self.constant_on_c1,
-            "constant_on_c2": self.constant_on_c2,
-            "spread_c1": self.spread_c1,
-            "spread_c2": self.spread_c2,
-            "constants_gap": self.constants_gap,
         }
 
 

@@ -359,26 +359,21 @@ def classify_angle(theta: float) -> AngleClass:
     if not 0.0 < theta <= math.pi + 1e-15:
         raise ValueError(f"theta must lie in (0, pi], got {theta!r}")
     x = theta / math.pi
-    # convergents of the continued fraction of x
-    h_prev, h = 1, int(x)
-    k_prev, k = 0, 1
+    # walk the convergents of the continued fraction of x; their errors
+    # decrease strictly, so the last one with denominator <= 64 is the best
+    h_prev, best_p = 1, int(x)
+    k_prev, best_q = 0, 1
     frac = x - int(x)
-    convergents = [(h, k)]
     for _ in range(64):
-        if frac < 1e-15 or k > _MAX_DENOMINATOR:
+        if frac < 1e-15:
             break
         a = int(1.0 / frac)
         frac = 1.0 / frac - a
-        h, h_prev = a * h + h_prev, h
-        k, k_prev = a * k + k_prev, k
-        convergents.append((h, k))
-    best_p, best_q, best_err = 0, 1, abs(x)
-    for p, q in convergents:
-        if q > _MAX_DENOMINATOR:
-            continue
-        err = abs(x - p / q)
-        if err < best_err:
-            best_p, best_q, best_err = p, q, err
+        if a * best_q + k_prev > _MAX_DENOMINATOR:
+            break
+        best_p, h_prev = a * best_p + h_prev, best_p
+        best_q, k_prev = a * best_q + k_prev, best_q
+    best_err = abs(x - best_p / best_q)
     if best_err <= 1e-9 and best_p > 0:
         return RationalMultipleOfPi(p=best_p, q=best_q, residual=best_err)
     return PresumedIrrational(best_q=best_q, best_residual=best_err)

@@ -36,8 +36,12 @@ class BoundaryModulus(ModulusData):
             raise ValueError(f"grid size must be >= {_MIN_GRID}, got {len(moduli)}")
         if not np.all(np.isfinite(moduli)) or np.any(moduli <= 0.0):
             raise ValueError("modulus values must be positive and finite")
-        super().__init__(UNIT_CIRCLE, UNIT_CIRCLE.sample_points(len(moduli)), moduli)
-        self._log = np.log(self.moduli)
+        # the grid is built here, so ModulusData's on-circle and distinctness
+        # checks could not fail and are not run
+        self.circle = UNIT_CIRCLE
+        self.points = UNIT_CIRCLE.sample_points(len(moduli))
+        self.moduli = moduli
+        self._log = np.log(moduli)
 
     @property
     def n(self) -> int:
@@ -84,16 +88,22 @@ class OuterFunction:
         return complex(out) if zz.ndim == 0 else out
 
 
+def _reject_boundary_zero(moduli: np.ndarray) -> None:
+    """ZeroOnBoundary if a modulus is <= 1e-10: zeros on the circle must be
+    divided out before an outer factor makes sense."""
+    if float(moduli.min()) <= 1e-10:
+        raise ZeroOnBoundary(
+            f"boundary moduli reach {float(moduli.min()):.3e}; zeros on the unit "
+            "circle must be divided out first"
+        )
+
+
 def boundary_modulus_of(func, n: int) -> BoundaryModulus:
     """Sample |func| on the uniform n-point boundary grid.
 
-    A pole on the circle raises EvaluationAtPole.  Data with min modulus
-    <= 1e-10 raises ZeroOnBoundary: zeros on the circle must be divided
-    out before an outer factor makes sense.
+    A pole on the circle raises EvaluationAtPole, a modulus <= 1e-10
+    ZeroOnBoundary.
     """
     moduli = modulus_samples(func, UNIT_CIRCLE.sample_points(n)).moduli
-    if float(moduli.min()) <= 1e-10:
-        raise ZeroOnBoundary(
-            f"modulus as small as {float(moduli.min()):.3e} on the unit circle"
-        )
+    _reject_boundary_zero(moduli)
     return BoundaryModulus(moduli)

@@ -64,7 +64,7 @@ class Polynomial:
 
     def __call__(self, z):
         zz = np.asarray(z, dtype=complex)
-        out = _horner(self.coeffs, zz)
+        out = np.polyval(self.coeffs[::-1], zz)
         return complex(out) if zz.ndim == 0 else out
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
@@ -148,19 +148,11 @@ class RationalFunction:
         return cls(Polynomial.from_json(obj["num"]), Polynomial.from_json(obj["den"]))
 
 
-def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Value at ``z`` of the polynomial with ascending ``coeffs``, highest term first."""
-    out = np.zeros(z.shape, dtype=complex)
-    for c in coeffs[::-1]:
-        out = out * z + c
-    return out
-
-
 def _newton_polish(coeffs: np.ndarray, roots: np.ndarray, sweeps: int = 3) -> np.ndarray:
     dcoeffs = coeffs[1:] * np.arange(1, len(coeffs))
     z = roots.copy()
     for _ in range(sweeps):
-        p, dp = _horner(coeffs, z), _horner(dcoeffs, z)
+        p, dp = np.polyval(coeffs[::-1], z), np.polyval(dcoeffs[::-1], z)
         safe = np.abs(dp) > 1e-300
         z[safe] = z[safe] - p[safe] / dp[safe]
     return z
@@ -206,7 +198,7 @@ def poly_roots(p: Polynomial) -> list[complex]:
     if p.degree == 1:
         return [complex(-coeffs[0] / coeffs[1])]
     roots = _newton_polish(coeffs, np.roots(coeffs[::-1]))
-    vals = np.abs(_horner(coeffs, roots))
+    vals = np.abs(np.polyval(coeffs[::-1], roots))
     bound = 1e-9 * float(np.abs(coeffs).max()) * np.maximum(1.0, np.abs(roots)) ** p.degree
     if not np.all(vals <= bound):
         raise NonConvergence(f"root residuals too large: max |p(root)| = {vals.max():.3e}")

@@ -45,11 +45,10 @@ from .errors import (
     PointsNotOnCommonCircle,
     PoleAmbiguity,
     ResidualTooLarge,
-    ZeroOnBoundary,
     ZeroOnCircle,
 )
 from .geometry import Circle
-from .outer import BoundaryModulus, OuterFunction
+from .outer import BoundaryModulus, OuterFunction, _reject_boundary_zero
 from .rational import Polynomial, RationalFunction, modulus_equation, poly_roots
 
 #: half-width of the pole separation dead band around [r, 1]
@@ -260,16 +259,16 @@ def _boundary_from_data(data: ModulusData) -> BoundaryModulus:
     circle = data.circle
     if abs(circle.center) > 1e-12 or abs(circle.radius - 1.0) > 1e-12:
         raise ValueError("boundary data must be sampled on the unit circle")
-    t = np.mod(np.angle(data.points), 2.0 * np.pi)
-    t = np.where(t > 2.0 * np.pi - 1e-9, t - 2.0 * np.pi, t)
-    order = np.argsort(t)
-    expected = 2.0 * np.pi * np.arange(len(t)) / len(t)
-    if float(np.abs(t[order] - expected).max()) > 1e-9:
+    n = len(data)
+    nearest = np.rint(np.angle(data.points) * n / (2.0 * np.pi)).astype(int) % n
+    order = np.argsort(nearest)
+    boundary = BoundaryModulus(data.moduli[order])
+    if float(np.abs(data.points[order] - boundary.points).max()) > 1e-9:
         raise ValueError(
             "boundary samples must form the uniform grid t_k = 2 pi k / n "
             "starting at t = 0"
         )
-    return BoundaryModulus(data.moduli[order])
+    return boundary
 
 
 def retrieve_two_circles(
@@ -288,12 +287,7 @@ def retrieve_two_circles(
     config = config or RetrievalConfig()
 
     with _stage("boundary"):
-        if float(data_boundary.moduli.min()) <= 1e-10:
-            raise ZeroOnBoundary(
-                "boundary moduli reach "
-                f"{float(data_boundary.moduli.min()):.3e}; zeros on the unit "
-                "circle must be divided out first"
-            )
+        _reject_boundary_zero(data_boundary.moduli)
         boundary = _boundary_from_data(data_boundary)
         outer = OuterFunction(boundary)
 
@@ -486,10 +480,8 @@ class EqualModulusReport:
 
     def to_json(self) -> dict:
         return {
-            "max_deviation": self.max_deviation,
+            **asdict(self),
             "worst_point": [self.worst_point.real, self.worst_point.imag],
-            "n_points": self.n_points,
-            "tol": self.tol,
             "within_tol": self.within_tol,
         }
 

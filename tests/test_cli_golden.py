@@ -49,6 +49,12 @@ INPUTS = {
         "num": {"type": "poly", "coeffs": [[1, 0]]},
         "den": {"type": "poly", "coeffs": [[-0.5, 0], [1, 0]]},  # pole at z = 0.5
     },
+    # (z - 1) / 2 vanishes at the t = 0 node of every unit-circle grid
+    "zero_on_t.json": {
+        "type": "rational",
+        "num": {"type": "poly", "coeffs": [[-0.5, 0], [0.5, 0]]},
+        "den": {"type": "poly", "coeffs": [[1, 0]]},
+    },
 }
 
 POINTS_CSV = "re,im\n0.5,0.0\n0.0,0.5\n-0.5,0.0\n0.0,-0.5\n0.5,0.0\n0.25,0.25\n"
@@ -71,6 +77,11 @@ CASES = {
         "--out", "s.csv",
     ],
     "sample_pole": ["sample", "--f", "rational.json", "--circle", "0,0,0.5", "--n", "8", "--out", "s.csv"],
+    # unit-circle grids that `retrieve` rejects are not written
+    "sample_boundary_coarse": ["sample", "--f", "b1.json", "--circle", "0,0,1", "--n", "8", "--out", "t.csv"],
+    "sample_boundary_zero": [
+        "sample", "--f", "zero_on_t.json", "--circle", "0,0,1", "--n", "32", "--out", "t.csv",
+    ],
     "sample_bad_circle": ["sample", "--f", "b1.json", "--circle", "0,0,-1", "--n", "8", "--out", "s.csv"],
     # certify
     "certify_equal": ["certify", "--f", "b1.json", "--g", "b1_rot.json", "--r", "0.5", "--points", "16"],

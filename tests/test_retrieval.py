@@ -19,6 +19,7 @@ from discphase import (
     boundary_modulus_of,
     certify_finite_points,
     fit_modulus_rational,
+    modulus_samples,
     parametrize_pair,
     perpendicular_lines_pair,
     retrieve_two_circles,
@@ -219,6 +220,50 @@ def test_retrieve_blaschke_times_outer():
         boundary_modulus_of(f, 256), sample_modulus(f, Circle(0.0, 0.5), 256)
     )
     assert from_boundary.to_json(None) == result.to_json(None)
+
+
+def _boundary_data(f, points):
+    return ModulusData(UNIT_CIRCLE, points, modulus_samples(f, points).moduli)
+
+
+def test_retrieve_accepts_boundary_grid_in_any_order():
+    f = _product_fn(BlaschkeProduct(1.0, (0.3, -0.2 + 0.4j)), [0.5])
+    n = 256
+    grid = UNIT_CIRCLE.sample_points(n)
+    shuffled = grid[np.random.default_rng(5).permutation(n)]
+    inner = sample_modulus(f, Circle(0.0, 0.5), n)
+    ordered = retrieve_two_circles(_boundary_data(f, grid), inner)
+    assert ordered.degree_used == 2
+    from_shuffled = retrieve_two_circles(_boundary_data(f, shuffled), inner)
+    assert from_shuffled.to_json(None) == ordered.to_json(None)
+
+
+def _moved_node(n):
+    points = UNIT_CIRCLE.sample_points(n)
+    points[5] *= np.exp(1e-8j)  # stays on T, 1e-8 off its node
+    return points
+
+
+@pytest.mark.parametrize(
+    "points, match",
+    [
+        (_moved_node(64), "uniform grid"),
+        (UNIT_CIRCLE.sample_points(64, np.pi / 64), "uniform grid"),  # half a step off
+    ],
+)
+def test_retrieve_rejects_boundary_off_the_grid(points, match):
+    f = outer_product_fn([0.5])
+    with pytest.raises(ValueError, match=match):
+        retrieve_two_circles(
+            _boundary_data(f, points), sample_modulus(f, Circle(0.0, 0.5), 64)
+        )
+
+
+def test_retrieve_rejects_boundary_data_off_the_unit_circle():
+    f = outer_product_fn([0.5])
+    inner = sample_modulus(f, Circle(0.0, 0.5), 64)
+    with pytest.raises(ValueError, match="unit circle"):
+        retrieve_two_circles(inner, inner)
 
 
 def test_retrieve_outer_only():
