@@ -45,7 +45,6 @@ from .errors import (
     NonConvergence,
     PointsNotOnCommonCircle,
     PoleAmbiguity,
-    PoleAtInput,
     ResidualTooLarge,
     UEqualsV,
     ZeroOnBoundary,

@@ -53,19 +53,19 @@ class BlaschkeProduct:
     def __call__(self, z):
         """Evaluate at a scalar or array of points.
 
-        Points within 1e-14 of a reflected pole 1/conj(a) are rejected.
+        Points within 1e-14 of a reflected pole 1/conj(a) evaluate to
+        complex(inf, 0).
         """
         zz = np.asarray(z, dtype=complex)
         out = np.full(zz.shape, self.constant, dtype=complex)
-        for a in self.zeros:
-            if a != 0:
-                pole = 1.0 / a.conjugate()
-                near = np.abs(zz - pole) <= 1e-14
-                if np.any(near):
-                    raise EvaluationAtPole(
-                        f"evaluation at reflected pole {pole} of zero {a}"
-                    )
-            out = out * (zz - a) / (1.0 - a.conjugate() * zz)
+        at_pole = np.zeros(zz.shape, dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for a in self.zeros:
+                if a != 0:
+                    at_pole |= np.abs(zz - 1.0 / a.conjugate()) <= 1e-14
+                out *= zz - a
+                out /= 1.0 - a.conjugate() * zz
+        out[at_pole] = complex(np.inf, 0.0)
         return complex(out) if zz.ndim == 0 else out
 
     def with_constant(self, constant: complex) -> "BlaschkeProduct":
@@ -241,22 +241,14 @@ class ModulusData(ModulusSamples):
 
 
 def modulus_samples(func, points) -> ModulusSamples:
-    """Sample |func| at an array of points, reporting the offending index on failure.
+    """Sample |func| at an array of points.
 
-    A non-finite modulus (a point is a pole) raises EvaluationAtPole.
+    Function expressions return infinity at their poles; a non-finite
+    modulus raises EvaluationAtPole naming the first such point's index.
+    This is the one place that raises EvaluationAtPole.
     """
     pts = np.asarray(points, dtype=complex).ravel()
-    try:
-        values = func(pts)
-    except Exception:
-        # locate the failing point for the error message
-        for k, p in enumerate(pts):
-            try:
-                func(p)
-            except Exception as exc:
-                raise type(exc)(f"evaluation failed at point index {k} ({p}): {exc}") from exc
-        raise
-    moduli = np.abs(np.asarray(values, dtype=complex))
+    moduli = np.abs(np.asarray(func(pts), dtype=complex))
     bad = np.flatnonzero(~np.isfinite(moduli))
     if len(bad):
         k = int(bad[0])

@@ -47,7 +47,7 @@ from .geometry import (
     classify_angle,
     classify_pair,
 )
-from .outer import BoundaryModulus
+from .outer import BoundaryModulus, boundary_modulus_of
 from .retrieval import (
     RetrievalConfig,
     certify_finite_points,
@@ -232,17 +232,13 @@ def cmd_sample(args) -> int:
     n = int(args.n)
     if n < 1:
         raise ValueError("--n must be positive")
-    samples = modulus_samples(f, circle.sample_points(n, args.phase_offset))
-    is_boundary_grid = (
-        abs(circle.center) == 0.0 and circle.radius == 1.0 and args.phase_offset == 0.0
-    )
-    if is_boundary_grid:
+    if abs(circle.center) == 0.0 and circle.radius == 1.0 and args.phase_offset == 0.0:
         # unit-circle data uses the t,modulus format consumed by `retrieve`,
         # and a grid `retrieve` would reject is not written
-        BoundaryModulus(samples.moduli).to_csv(args.out)
+        boundary_modulus_of(f, n).to_csv(args.out)
         fmt = "t,modulus"
     else:
-        samples.to_csv(args.out)
+        modulus_samples(f, circle.sample_points(n, args.phase_offset)).to_csv(args.out)
         fmt = "index,re,im,modulus"
     report = {
         "command": "sample",

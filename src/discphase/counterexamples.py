@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from .blaschke import BlaschkeProduct, equal_up_to_unimodular
-from .errors import EvaluationAtPole, UEqualsV
+from .errors import UEqualsV
 from .geometry import _MAX_DENOMINATOR, Circle, Line, MoebiusMap, disc_automorphism, map_circle
 from .rational import Polynomial, RationalFunction
 
@@ -28,8 +28,9 @@ _MAX_DEPTH = 8
 class MoebiusOf:
     """Composition map(inner(z)) of a Moebius map with another expression.
 
-    Inner values of infinity are mapped to a/c (the Moebius map acts on the
-    sphere), so compositions stay well defined across removable
+    The Moebius map acts on the sphere, so where the inner expression is
+    infinite the composition takes the value a/c (infinity for an affine
+    map), and compositions stay well defined across removable
     singularities of the inner expression.
     """
 
@@ -41,27 +42,8 @@ class MoebiusOf:
         if depth > _MAX_DEPTH:
             raise ValueError(f"composition depth {depth} exceeds {_MAX_DEPTH}")
 
-    def _value_at_infinity(self) -> complex:
-        if abs(self.map.c) <= 1e-15 * max(abs(self.map.a), abs(self.map.d)):
-            raise EvaluationAtPole(
-                "inner expression is infinite where the outer map is affine"
-            )
-        return self.map.a / self.map.c
-
     def __call__(self, z):
-        w = self.inner(z)
-        ww = np.asarray(w, dtype=complex)
-        inf_mask = np.isinf(ww.real) | np.isinf(ww.imag)
-        if not np.any(inf_mask):
-            return self.map(w)
-        if ww.ndim == 0:
-            return self._value_at_infinity()
-        out = np.empty(ww.shape, dtype=complex)
-        out[inf_mask] = self._value_at_infinity()
-        finite = ~inf_mask
-        if np.any(finite):
-            out[finite] = self.map(ww[finite])
-        return out
+        return self.map(self.inner(z))
 
 
 @dataclass(frozen=True)
@@ -89,18 +71,17 @@ class StripMap:
     is unimodular there; it sends the open strip 0 < Im s < 1 conformally
     into the unit disc.  Zeros sit at i(1/2 + 2n) and poles at
     i(-1/2 + 2n), a vertical ladder that is not summable the way the zero
-    set of a disc-class quotient would have to be.
+    set of a disc-class quotient would have to be.  Within 1e-15 relative
+    of a pole the value is complex(inf, 0).
     """
 
     def __call__(self, s):
         ss = np.asarray(s, dtype=complex)
         e = np.exp(np.pi * ss)
         den = 1j + e
-        bad = np.abs(den) <= 1e-15 * (1.0 + np.abs(e))
-        if np.any(bad):
-            where = ss[bad].ravel()[0] if ss.ndim else complex(ss)
-            raise EvaluationAtPole(f"strip map pole at s = {where}")
-        out = (1j - e) / den
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = (1j - e) / den
+        out = np.where(np.abs(den) <= 1e-15 * (1.0 + np.abs(e)), complex(np.inf, 0.0), out)
         return complex(out) if ss.ndim == 0 else out
 
 

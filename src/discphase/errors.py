@@ -22,10 +22,6 @@ class DiscPhaseError(Exception):
         return base
 
 
-class PoleAtInput(DiscPhaseError):
-    """A Moebius map was evaluated at (or too close to) its pole."""
-
-
 class CircleNotInsideDisc(DiscPhaseError):
     """A circle required to lie strictly inside the unit disc does not."""
 
@@ -35,7 +31,9 @@ class IdenticalCircles(DiscPhaseError):
 
 
 class EvaluationAtPole(DiscPhaseError):
-    """A function was evaluated at (or too close to) one of its poles."""
+    """A sampled modulus is not finite: a sample point is (or is too close
+    to) a pole.  Function expressions return infinity at their poles;
+    :func:`discphase.blaschke.modulus_samples` alone raises this."""
 
 
 class DegenerateAlignment(DiscPhaseError):

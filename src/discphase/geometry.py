@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import CircleNotInsideDisc, IdenticalCircles, PoleAtInput
+from .errors import CircleNotInsideDisc, IdenticalCircles
 
 #: marker returned by :func:`inverse_point` for the centre of inversion
 POINT_AT_INFINITY = complex(math.inf, math.inf)
@@ -62,17 +62,22 @@ class MoebiusMap:
             object.__setattr__(self, name, complex(value))
 
     def __call__(self, z):
-        """Apply the map.  Accepts scalars or numpy arrays of complex."""
+        """Apply the map on the Riemann sphere, to a scalar or numpy array.
+
+        A point with |c z + d| <= 1e-15 (|c| |z| + |d|) is the pole and maps
+        to complex(inf, 0); an infinite point maps to a/c, or to infinity
+        when the map is affine (see :meth:`pole`).
+        """
         zz = np.asarray(z, dtype=complex)
-        num = self.a * zz + self.b
-        den = self.c * zz + self.d
-        scale = np.abs(self.c) * np.abs(zz) + abs(self.d)
-        bad = np.abs(den) <= 1e-15 * scale
-        if np.any(bad):
-            where = zz[bad].ravel()[0] if zz.ndim else complex(zz)
-            raise PoleAtInput(f"Moebius map has a pole at input z = {where}")
-        out = num / den
-        return complex(out) if np.isscalar(z) or np.asarray(z).ndim == 0 else out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            den = self.c * zz + self.d
+            out = (self.a * zz + self.b) / den
+            at_pole = np.abs(den) <= 1e-15 * (abs(self.c) * np.abs(zz) + abs(self.d))
+        out = np.where(at_pole, complex(np.inf, 0.0), out)
+        at_infinity = np.isinf(zz)
+        if np.any(at_infinity):
+            out[at_infinity] = complex(np.inf, 0.0) if self.pole() is None else self.a / self.c
+        return complex(out) if zz.ndim == 0 else out
 
     def pole(self) -> complex | None:
         """Preimage of infinity, or None for an affine map."""

@@ -44,7 +44,6 @@ EXPORTS = [
     "PairKind",
     "PointsNotOnCommonCircle",
     "PoleAmbiguity",
-    "PoleAtInput",
     "Polynomial",
     "PowerComposite",
     "PresumedIrrational",

@@ -44,10 +44,12 @@ def test_boundary_unimodularity():
     assert abs(abs(b(np.exp(1.1j))) - 1.0) < 1e-12
 
 
-def test_reflected_pole_rejected():
-    b = BlaschkeProduct(1.0, (0.5,))
-    with pytest.raises(EvaluationAtPole):
-        b(2.0)  # 1 / conj(0.5)
+def test_reflected_pole_is_infinite():
+    b = BlaschkeProduct(1.0, (0.5, 0.3j))
+    assert b(2.0) == complex(math.inf, 0.0)  # 1 / conj(0.5)
+    out = b(np.array([0.1, 1.0 / (0.3j).conjugate() + 1e-15]))
+    assert np.isfinite(out[0])
+    assert out[1] == complex(math.inf, 0.0)
 
 
 def test_construction_rejects_boundary_zeros_and_bad_constant():

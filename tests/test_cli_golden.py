@@ -55,6 +55,20 @@ INPUTS = {
         "num": {"type": "poly", "coeffs": [[-0.5, 0], [0.5, 0]]},
         "den": {"type": "poly", "coeffs": [[1, 0]]},
     },
+    # (z - 1) / 2 - 1e-11: positive on the unit circle, but below the 1e-10 zero rule
+    "near_zero_on_t.json": {
+        "type": "rational",
+        "num": {"type": "poly", "coeffs": [[-0.50000000001, 0], [0.5, 0]]},
+        "den": {"type": "poly", "coeffs": [[1, 0]]},
+    },
+    # z / (z - 0.5): a Moebius map of the identity with its pole at 0.5
+    "moebius.json": {
+        "type": "moebius_of",
+        "map": {"a": [1, 0], "b": [0, 0], "c": [1, 0], "d": [-0.5, 0]},
+        "inner": {"type": "poly", "coeffs": [[0, 0], [1, 0]]},
+    },
+    # poles at i(-1/2 + 2n)
+    "strip.json": {"type": "strip"},
 }
 
 POINTS_CSV = "re,im\n0.5,0.0\n0.0,0.5\n-0.5,0.0\n0.0,-0.5\n0.5,0.0\n0.25,0.25\n"
@@ -82,6 +96,9 @@ CASES = {
     "sample_boundary_zero": [
         "sample", "--f", "zero_on_t.json", "--circle", "0,0,1", "--n", "32", "--out", "t.csv",
     ],
+    "sample_boundary_near_zero": [
+        "sample", "--f", "near_zero_on_t.json", "--circle", "0,0,1", "--n", "64", "--out", "t.csv",
+    ],
     "sample_bad_circle": ["sample", "--f", "b1.json", "--circle", "0,0,-1", "--n", "8", "--out", "s.csv"],
     # certify
     "certify_equal": ["certify", "--f", "b1.json", "--g", "b1_rot.json", "--r", "0.5", "--points", "16"],
@@ -107,6 +124,10 @@ CASES = {
     ],
     "verify_segment_malformed": ["verify", "--f", "b1.json", "--g", "b2.json", "--set", "segment:0,0,1"],
     "verify_segment_pole": ["verify", "--f", "b2.json", "--g", "b1.json", "--set", "segment:0,0,3,0", "--n", "7"],
+    "verify_moebius_pole": ["verify", "--f", "moebius.json", "--g", "b1.json", "--set", "segment:0,0,1,0", "--n", "5"],
+    "verify_strip_pole": [
+        "verify", "--f", "strip.json", "--g", "b1.json", "--set", "segment:-1,-0.5,1,-0.5", "--n", "5",
+    ],
     "verify_file": ["verify", "--f", "b1.json", "--g", "b2.json", "--set", "file:points.csv"],
     "verify_file_missing": ["verify", "--f", "b1.json", "--g", "b2.json", "--set", "file:nothing.csv"],
     "verify_product": [

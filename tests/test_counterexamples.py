@@ -6,7 +6,6 @@ import pytest
 from discphase import (
     BlaschkeProduct,
     Circle,
-    EvaluationAtPole,
     MoebiusMap,
     MoebiusOf,
     PowerComposite,
@@ -124,6 +123,15 @@ def test_finite_set_pair_differs_off_x():
     assert report.max_deviation > 1e-3
 
 
+def test_finite_set_pair_maps_inner_infinity_to_a_over_c():
+    # B has zeros at +-0.5, so B * u is infinite at 2 and psi(inf) = a / c
+    u = BlaschkeProduct(1.0, (0.2,))
+    v = BlaschkeProduct(1.0, (0.6,))
+    f, _ = finite_set_pair((0.5, -0.5), 0.3, u, v)
+    assert abs(f(2.0) - f.map.a / f.map.c) <= 1e-12
+    assert abs(f(2.0 + 1e-9) - f(2.0)) < 1e-8
+
+
 def test_finite_set_pair_rejects_matching_seeds():
     u = BlaschkeProduct(1.0, (0.2,))
     with pytest.raises(UEqualsV):
@@ -207,9 +215,11 @@ def test_strip_map_interior_into_disc():
     assert np.abs(s(pts)).max() < 1.0
 
 
-def test_strip_map_pole_marker():
-    with pytest.raises(EvaluationAtPole):
-        StripMap()(-0.5j)
+def test_strip_map_pole_is_infinite():
+    assert StripMap()(-0.5j) == complex(math.inf, 0.0)
+    out = StripMap()(np.array([-0.5j, 0.5j]))
+    assert out[0] == complex(math.inf, 0.0)
+    assert abs(out[1]) < 1e-15
 
 
 # -------------------------------------------------------------- inverse points

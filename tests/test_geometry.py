@@ -13,7 +13,6 @@ from discphase import (
     Line,
     MoebiusMap,
     PairKind,
-    PoleAtInput,
     PresumedIrrational,
     RationalMultipleOfPi,
     circle_as_automorphism_image,
@@ -109,10 +108,24 @@ def test_moebius_accepts_extreme_dilations(coeffs, z):
     assert MoebiusMap(*coeffs)(z) == pytest.approx(a * z / d, rel=1e-12)
 
 
-def test_moebius_pole_raises():
+def test_moebius_pole_maps_to_infinity():
     m = MoebiusMap(1.0, 0.0, 1.0, -0.5)  # pole at z = 0.5
-    with pytest.raises(PoleAtInput):
-        m(0.5)
+    assert m(0.5) == complex(math.inf, 0.0)
+    out = m(np.array([0.5 + 2e-16, 0.25]))  # |den| within 1e-15 relative
+    assert out[0] == complex(math.inf, 0.0)
+    assert out[1] == pytest.approx(-1.0)
+
+
+def test_moebius_map_acts_on_the_sphere():
+    m = MoebiusMap(2.0, 1.0, 1.0, -0.5)
+    assert m(complex(math.inf, 0.0)) == pytest.approx(m.a / m.c, abs=1e-15)
+    out = m(np.array([complex(math.inf, 0.0), 0.5, 1.0]))
+    assert out[0] == pytest.approx(m.a / m.c, abs=1e-15)
+    assert out[1] == complex(math.inf, 0.0)
+    assert out[2] == pytest.approx(6.0)
+    affine = MoebiusMap(2.0, 1.0, 0.0, 1.0)
+    assert affine(complex(math.inf, 0.0)) == complex(math.inf, 0.0)
+    assert np.isinf(affine(np.array([complex(0.0, -math.inf)]))).all()
 
 
 @settings(max_examples=60, deadline=None)

@@ -114,6 +114,24 @@ def test_boundary_csv_rejects_nonuniform_grid(tmp_path):
         BoundaryModulus.from_csv(path)
 
 
+def test_boundary_csv_checks_each_node_within_2e13(tmp_path):
+    path = tmp_path / "grid.csv"
+    t = 2 * np.pi * np.arange(20) / 20
+    for moved, accepted in ((1e-13, True), (3e-13, False)):
+        t_file = t.copy()
+        t_file[7] += moved
+        path.write_text("t,modulus\n" + "".join(f"{float(tk)!r},1.0\n" for tk in t_file))
+        if accepted:
+            assert BoundaryModulus.from_csv(path).n == 20
+        else:
+            with pytest.raises(ValueError, match="uniform"):
+                BoundaryModulus.from_csv(path)
+    # uniform spacing, but offset by half a step
+    path.write_text("t,modulus\n" + "".join(f"{float(tk + np.pi / 20)!r},1.0\n" for tk in t))
+    with pytest.raises(ValueError, match="uniform"):
+        BoundaryModulus.from_csv(path)
+
+
 def test_boundary_csv_rejects_nan_grid_node(tmp_path):
     path = tmp_path / "bad.csv"
     rows = ["t,modulus"] + [f"{2 * np.pi * k / 20!r},1.0" for k in range(20)]
