@@ -51,7 +51,6 @@ from .errors import (
     ZeroOnCircle,
 )
 from .geometry import (
-    POINT_AT_INFINITY,
     AngleClass,
     Circle,
     CircleConfig,

@@ -20,6 +20,7 @@ from .blaschke import BlaschkeProduct, equal_up_to_unimodular
 from .errors import UEqualsV
 from .geometry import _MAX_DENOMINATOR, Circle, Line, MoebiusMap, disc_automorphism, map_circle
 from .rational import Polynomial, RationalFunction
+from .retrieval import verify_equal_modulus
 
 _MAX_DEPTH = 8
 
@@ -72,16 +73,23 @@ class StripMap:
     into the unit disc.  Zeros sit at i(1/2 + 2n) and poles at
     i(-1/2 + 2n), a vertical ladder that is not summable the way the zero
     set of a disc-class quotient would have to be.  Within 1e-15 relative
-    of a pole the value is complex(inf, 0).
+    of a pole the value is complex(inf, 0).  Where exp(pi s) overflows
+    (Re s above about 226) the quotient is divided through by it:
+    (i q - 1) / (i q + 1) with q = exp(-pi s).
     """
 
     def __call__(self, s):
         ss = np.asarray(s, dtype=complex)
-        e = np.exp(np.pi * ss)
+        with np.errstate(over="ignore"):
+            e = np.exp(np.pi * ss)
         den = 1j + e
         with np.errstate(divide="ignore", invalid="ignore"):
             out = (1j - e) / den
         out = np.where(np.abs(den) <= 1e-15 * (1.0 + np.abs(e)), complex(np.inf, 0.0), out)
+        far = ~np.isfinite(e)
+        if np.any(far):
+            q = np.exp(-np.pi * ss[far])
+            out[far] = (1j * q - 1.0) / (1j * q + 1.0)
         return complex(out) if ss.ndim == 0 else out
 
 
@@ -296,16 +304,14 @@ def two_circle_right_angle_pair(c1: float = 2.0, c2: float = 3.0) -> RightAngleP
     f = MoebiusOf(MoebiusMap(1.0, -c1 * 1j, 1.0, c1 * 1j), squared)
     g = MoebiusOf(MoebiusMap(1.0, -c2 * 1j, 1.0, c2 * 1j), squared)
 
-    witness_point = 0j
-    witness_dev = 0.0
-    for radius in (0.2, 0.45, 0.7):
-        pts = radius * np.exp(2j * np.pi * np.arange(256) / 256)
-        gap = np.abs(np.abs(f(pts)) - np.abs(g(pts)))
-        k = int(np.argmax(gap))
-        if float(gap[k]) > witness_dev:
-            witness_dev = float(gap[k])
-            witness_point = complex(pts[k])
-    if witness_dev <= 1e-3:
+    witness = max(
+        (
+            verify_equal_modulus(f, g, Circle(0.0, radius).sample_points(256))
+            for radius in (0.2, 0.45, 0.7)
+        ),
+        key=lambda rep: rep.max_deviation,
+    )
+    if witness.max_deviation <= 1e-3:
         raise RuntimeError("failed to find a witness separating the pair")
     return RightAnglePair(
         f=f,
@@ -313,8 +319,8 @@ def two_circle_right_angle_pair(c1: float = 2.0, c2: float = 3.0) -> RightAngleP
         circle1=circle1,
         circle2=circle2,
         base_angle=phi,
-        witness_point=witness_point,
-        witness_deviation=witness_dev,
+        witness_point=witness.worst_point,
+        witness_deviation=witness.max_deviation,
     )
 
 

@@ -20,9 +20,6 @@ import numpy as np
 
 from .errors import CircleNotInsideDisc, IdenticalCircles
 
-#: marker returned by :func:`inverse_point` for the centre of inversion
-POINT_AT_INFINITY = complex(math.inf, math.inf)
-
 #: largest denominator q for which classify_angle reports theta = p pi / q
 _MAX_DENOMINATOR = 64
 
@@ -167,10 +164,6 @@ class Line:
     def distance_to(self, z: complex) -> float:
         return abs(((complex(z) - self.point) / self.direction).imag)
 
-    def sample_points(self, n: int, half_width: float) -> np.ndarray:
-        t = np.linspace(-half_width, half_width, n)
-        return self.point + t * self.direction
-
 
 GeneralizedCircle = Union[Circle, Line]
 
@@ -207,6 +200,17 @@ class PresumedIrrational:
 AngleClass = Union[RationalMultipleOfPi, PresumedIrrational]
 
 
+def _segment_points(start: complex, end: complex, n: int) -> np.ndarray:
+    """``n`` equally spaced points on the segment [start, end]."""
+    if n < 1:
+        raise ValueError("n_points must be at least 1")
+    if not np.all(np.isfinite([start, end])):
+        raise ValueError(f"segment endpoint is not finite: {start}, {end}")
+    if n == 1:
+        return np.array([start])
+    return start + np.linspace(0.0, 1.0, n) * (end - start)
+
+
 def _map_through_pole(m: MoebiusMap, on_object, pole: complex) -> Line:
     # object passes through the pole: its image is a straight line
     if isinstance(on_object, Circle):
@@ -226,7 +230,8 @@ def _verify_image(m: MoebiusMap, source, image, n: int = 16) -> None:
     if isinstance(source, Circle):
         pts = source.sample_points(n, phase_offset=0.37)
     else:
-        pts = source.sample_points(n, half_width=1.0 + abs(source.point))
+        half = (1.0 + abs(source.point)) * source.direction
+        pts = _segment_points(source.point - half, source.point + half, n)
     pole = m.pole()
     if pole is not None:
         keep = np.abs(pts - pole) > 1e-9 * (1.0 + abs(pole))
@@ -318,7 +323,7 @@ def circle_as_automorphism_image(c: Circle) -> tuple[complex, complex, float]:
     r = (v - t) / (1.0 - t * v)
 
     phi = disc_automorphism(1.0, alpha)
-    mapped = phi(r * np.exp(2j * np.pi * np.arange(64) / 64))
+    mapped = phi(Circle(0.0, r).sample_points(64))
     err = np.abs(np.abs(mapped - c.center) - c.radius)
     if err.max() > 1e-10:
         raise RuntimeError(
@@ -388,10 +393,11 @@ def inverse_point(z: complex, c: Circle) -> complex:
     """Inversion of ``z`` in the circle ``c``.
 
     Satisfies (z - center) * conj(result - center) = radius^2; points on
-    the circle are fixed and the centre maps to POINT_AT_INFINITY.
+    the circle are fixed and the centre maps to complex(inf, 0), the
+    infinity every pole of a function expression returns.
     """
     z = complex(z)
     offset = z - c.center
     if offset == 0:
-        return POINT_AT_INFINITY
+        return complex(math.inf, 0.0)
     return c.center + c.radius**2 / offset.conjugate()

@@ -92,15 +92,11 @@ class Polynomial:
 
 
 class RationalFunction:
-    """Quotient of two polynomials; the denominator must not vanish identically."""
+    """Quotient of two ``Polynomial``s; the denominator must not vanish identically."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Polynomial, den: Polynomial):
-        if not isinstance(num, Polynomial):
-            num = Polynomial(num)
-        if not isinstance(den, Polynomial):
-            den = Polynomial(den)
         if den.is_zero:
             raise ValueError("denominator is identically zero")
         self.num = num
@@ -183,21 +179,21 @@ def _cluster_roots(roots: np.ndarray, tol: float) -> list[complex]:
 
 
 def poly_roots(p: Polynomial) -> list[complex]:
-    """All roots of ``p`` as a multiset (cluster representatives repeated).
+    """All roots of ``p`` as a multiset of Python complex numbers (cluster
+    representatives repeated).
 
-    The roots are the eigenvalues of the balanced companion matrix
-    (``np.roots``; backward stable, Edelman & Murakami 1995), refined by
-    three Newton sweeps.  Every root must then satisfy
-    |p(root)| <= 1e-9 * max|coeff| * max(1, |root|)^deg, or NonConvergence
-    is raised.  Roots within 1e-8 of the first root of their
+    For every degree, 1 included, the roots are the eigenvalues of the
+    balanced companion matrix (``np.roots``; backward stable, Edelman &
+    Murakami 1995), refined by three Newton sweeps.  Every root must then
+    satisfy |p(root)| <= 1e-9 * max|coeff| * max(1, |root|)^deg, or
+    NonConvergence is raised.  Roots within 1e-8 of the first root of their
     cluster (in real-then-imaginary order) are replaced by the cluster mean.
     """
     if p.degree < 1 or p.is_zero:
         raise ValueError("root finding requires degree >= 1")
     coeffs = p.coeffs
-    if p.degree == 1:
-        return [complex(-coeffs[0] / coeffs[1])]
-    roots = _newton_polish(coeffs, np.roots(coeffs[::-1]))
+    # np.roots returns a real array when every root is a stripped zero (c z)
+    roots = _newton_polish(coeffs, np.roots(coeffs[::-1]).astype(complex))
     vals = np.abs(np.polyval(coeffs[::-1], roots))
     bound = 1e-9 * float(np.abs(coeffs).max()) * np.maximum(1.0, np.abs(roots)) ** p.degree
     if not np.all(vals <= bound):

@@ -435,18 +435,15 @@ def parametrize_pair(
             raise ZeroOnCircle(
                 f"zero or pole at {w} lies on the radius-{r} circle"
             )
-    check = r * np.exp(1j * (2.0 * np.pi * np.arange(256) / 256 + 0.123))
-    gap = np.abs(np.abs(f(check)) - np.abs(g(check)))
-    if float(gap.max()) > 1e-9:
-        raise ModulusMismatchOnCircle(
-            f"max modulus gap {float(gap.max()):.3e} on the radius-{r} circle"
-        )
+    gap = verify_equal_modulus(f, g, Circle(0.0, r).sample_points(256, 0.123)).max_deviation
+    if gap > 1e-9:
+        raise ModulusMismatchOnCircle(f"max modulus gap {gap:.3e} on the radius-{r} circle")
     b1_raw = [w for w in (*zeros_g, *poles_f) if abs(w) < r]
     b2_raw = [w for w in (*zeros_f, *poles_g) if abs(w) < r]
     b1_kept, b2_kept = cancel_common(b1_raw, b2_raw, 1e-9)
     b1 = BlaschkeProduct(1.0, tuple(w / r for w in b1_kept))
     b2_base = BlaschkeProduct(1.0, tuple(w / r for w in b2_kept))
-    grid = 0.5 * r * np.exp(2j * np.pi * np.arange(64) / 64)
+    grid = Circle(0.0, 0.5 * r).sample_points(64)
     lhs = b1(grid / r) * f(grid)
     rhs = b2_base(grid / r) * g(grid)
     lam = align_constant(lhs, rhs)

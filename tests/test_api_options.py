@@ -40,7 +40,6 @@ EXPORTS = [
     "MoebiusOf",
     "NonConvergence",
     "OuterFunction",
-    "POINT_AT_INFINITY",
     "PairKind",
     "PointsNotOnCommonCircle",
     "PoleAmbiguity",

@@ -3,9 +3,11 @@
 Each case runs ``discphase.cli.main`` in process, in a fresh directory that
 holds only the input descriptors, so every path in a report is relative.
 Its stdout, its exit code and every file it writes are compared with the
-golden copies.  ``retrieve`` is not here: its last digits come from LAPACK
-and can move with the BLAS thread count, so only its exit code and degree
-are asserted.
+golden copies.  The last digits of a ``retrieve`` result come from LAPACK
+and can move with the BLAS thread count, so its cases (``RETRIEVE_CASES``)
+compare the report keys, the exit code and the degree exactly, the zeros
+within 1e-10, and the outer boundary values and ``_outer.csv``, which echo
+the input, byte for byte; each residual must be at most the tolerance.
 
 To rewrite the golden files after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_cli_golden.py`` and review the diff.
@@ -21,6 +23,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from discphase.cli import main
@@ -69,6 +72,8 @@ INPUTS = {
     },
     # poles at i(-1/2 + 2n)
     "strip.json": {"type": "strip"},
+    # the degree-0 Blaschke product 1
+    "one.json": {"type": "blaschke", "constant": [1, 0], "zeros": []},
 }
 
 POINTS_CSV = "re,im\n0.5,0.0\n0.0,0.5\n-0.5,0.0\n0.0,-0.5\n0.5,0.0\n0.25,0.25\n"
@@ -128,6 +133,10 @@ CASES = {
     "verify_strip_pole": [
         "verify", "--f", "strip.json", "--g", "b1.json", "--set", "segment:-1,-0.5,1,-0.5", "--n", "5",
     ],
+    # exp(pi s) overflows past Re s = 226, where the map is close to -1
+    "verify_strip_far": [
+        "verify", "--f", "strip.json", "--g", "one.json", "--set", "segment:200,0.5,300,0.5", "--n", "3",
+    ],
     "verify_file": ["verify", "--f", "b1.json", "--g", "b2.json", "--set", "file:points.csv"],
     "verify_file_missing": ["verify", "--f", "b1.json", "--g", "b2.json", "--set", "file:nothing.csv"],
     "verify_product": [
@@ -154,46 +163,112 @@ CASES = {
 }
 
 
-def _write_inputs(workdir: Path) -> set[str]:
+def _write_inputs(workdir: Path) -> None:
     for name, obj in INPUTS.items():
         (workdir / name).write_text(json.dumps(obj))
     (workdir / "points.csv").write_text(POINTS_CSV)
-    return {*INPUTS, "points.csv"}
 
 
-def run_case(argv: list[str], workdir: Path) -> tuple[int, str, dict[str, bytes]]:
-    """Exit code, stdout and written files (by relative path) of one CLI run."""
-    inputs = _write_inputs(workdir)
+def _sampled(descriptor: str, n: int) -> list[list[str]]:
+    """``sample`` runs writing |descriptor| on T (t.csv) and on 0.5 T (r.csv)."""
+    return [
+        ["sample", "--f", descriptor, "--circle", circle, "--n", str(n), "--out", out]
+        for circle, out in (("0,0,1", "t.csv"), ("0,0,0.5", "r.csv"))
+    ]
+
+
+RETRIEVE = ["retrieve", "--boundary", "t.csv", "--inner", "r.csv", "--r", "0.5"]
+
+#: name -> (runs that write the input CSVs, retrieve argv)
+RETRIEVE_CASES = {
+    "retrieve_product": (_sampled("product.json", 32), RETRIEVE),
+    "retrieve_product_out": (_sampled("product.json", 32), [*RETRIEVE, "--out", "res.json"]),
+    "retrieve_blaschke": (_sampled("b1.json", 32), [*RETRIEVE, "--degree-max", "4", "--tol", "1e-10"]),
+}
+
+#: retrieve report fields that need only be at most the tolerance
+_RESIDUALS = {"residual_T", "residual_rT", "fit_residual"}
+
+
+def _files(workdir: Path) -> dict[str, bytes]:
+    return {
+        path.relative_to(workdir).as_posix(): path.read_bytes()
+        for path in sorted(workdir.rglob("*")) if path.is_file()
+    }
+
+
+def run_case(argv: list[str], workdir: Path, setup=()) -> tuple[int, str, dict[str, bytes]]:
+    """Exit code, stdout and written files (by relative path) of one CLI run.
+
+    The runs in ``setup`` go first, and the files they write count as inputs.
+    """
+    _write_inputs(workdir)
     stdout = io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for pre in setup:
+                assert main(pre) == 0, pre
+        inputs = _files(workdir)
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
     finally:
         os.chdir(cwd)
-    written = {
-        path.relative_to(workdir).as_posix(): path.read_bytes()
-        for path in sorted(workdir.rglob("*"))
-        if path.is_file() and path.relative_to(workdir).as_posix() not in inputs
-    }
+    written = {rel: data for rel, data in _files(workdir).items() if rel not in inputs}
     return code, stdout.getvalue(), written
+
+
+def _golden(name: str) -> tuple[int, str, dict[str, bytes]]:
+    code = json.loads((GOLDEN / "exit_codes.json").read_text())[name]
+    files = GOLDEN / name / "files"
+    written = _files(files) if files.is_dir() else {}
+    return code, (GOLDEN / name / "stdout").read_text(encoding="utf-8"), written
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, tmp_path):
     code, stdout, written = run_case(CASES[name], tmp_path)
-    expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
-    assert code == expected_codes[name]
-    assert stdout == (GOLDEN / name / "stdout").read_text(encoding="utf-8")
-    files = GOLDEN / name / "files"
-    expected = {
-        path.relative_to(files).as_posix(): path.read_bytes()
-        for path in sorted(files.rglob("*")) if path.is_file()
-    } if files.is_dir() else {}
+    expected_code, expected_stdout, expected = _golden(name)
+    assert code == expected_code
+    assert stdout == expected_stdout
     assert sorted(written) == sorted(expected)
     for rel, data in written.items():
         assert data == expected[rel], rel
+
+
+def _assert_same_retrieval(got, want, tol: float) -> None:
+    """``got`` has the keys of the golden report ``want`` and agrees with it."""
+    if not isinstance(want, dict):
+        assert got == want
+        return
+    assert list(got) == list(want)
+    for key, value in want.items():
+        if key in _RESIDUALS:
+            assert 0.0 <= got[key] <= tol, key
+        elif key == "zeros":
+            assert len(got[key]) == len(value)
+            gap = np.abs(np.subtract(got[key], value).reshape(-1, 2) @ [1, 1j]).max(initial=0.0)
+            assert gap <= 1e-10, (got[key], value)
+        else:
+            _assert_same_retrieval(got[key], value, tol)
+
+
+@pytest.mark.parametrize("name", sorted(RETRIEVE_CASES))
+def test_retrieve_matches_golden(name, tmp_path):
+    setup, argv = RETRIEVE_CASES[name]
+    code, stdout, written = run_case(argv, tmp_path, setup)
+    expected_code, expected_stdout, expected = _golden(name)
+    assert code == expected_code == 0
+    want = json.loads(expected_stdout)
+    tol = want["certificate"]["residual_tol"]
+    _assert_same_retrieval(json.loads(stdout), want, tol)
+    assert sorted(written) == sorted(expected)
+    for rel, data in written.items():
+        if rel.endswith(".json"):
+            _assert_same_retrieval(json.loads(data), json.loads(expected[rel]), tol)
+        else:
+            assert data == expected[rel], rel
 
 
 def test_retrieve_recovers_degree_of_sampled_product(tmp_path):
@@ -211,9 +286,10 @@ def regenerate() -> None:
     """Rewrite ``tests/golden/`` from the current program."""
     shutil.rmtree(GOLDEN, ignore_errors=True)
     codes = {}
-    for name, argv in sorted(CASES.items()):
+    cases = {name: ((), argv) for name, argv in CASES.items()}
+    for name, (setup, argv) in sorted({**cases, **RETRIEVE_CASES}.items()):
         with tempfile.TemporaryDirectory() as tmp:
-            codes[name], stdout, written = run_case(argv, Path(tmp))
+            codes[name], stdout, written = run_case(argv, Path(tmp), setup)
         (GOLDEN / name).mkdir(parents=True)
         (GOLDEN / name / "stdout").write_text(stdout, encoding="utf-8")
         for rel, data in written.items():

@@ -222,6 +222,17 @@ def test_strip_map_pole_is_infinite():
     assert abs(out[1]) < 1e-15
 
 
+def test_strip_map_far_right_tends_to_minus_one():
+    # exp(pi s) overflows past Re s = 226; the value stays finite and unimodular
+    # on the edges, as on either side of the switch
+    s = StripMap()
+    assert s(250.0 + 0.5j) == -1.0
+    edges = np.array([225.0, 227.0, 300.0, 1e6]) + np.array([[0.0], [1.0j]])
+    assert np.abs(np.abs(s(edges)) - 1.0).max() < 1e-12
+    interior = np.array([225.0, 227.0, 300.0]) + 0.25j
+    assert np.all(np.abs(s(interior)) <= 1.0)
+
+
 # -------------------------------------------------------------- inverse points
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discphase import (
-    POINT_AT_INFINITY,
     Circle,
     CircleNotInsideDisc,
     IdenticalCircles,
@@ -178,7 +177,7 @@ def test_map_line_to_circle_and_back():
     line = Line(0.1, np.exp(0.3j))
     image = map_circle(m, line)
     assert isinstance(image, Circle)
-    pts = m(line.sample_points(32, half_width=0.5))
+    pts = m(line.point + np.linspace(-0.5, 0.5, 32) * line.direction)
     assert np.abs(np.abs(pts - image.center) - image.radius).max() < 1e-10
 
 
@@ -331,7 +330,11 @@ def test_inverse_point_fixes_circle_points():
 
 
 def test_inverse_point_center_gives_infinity():
-    assert inverse_point(0.3, Circle(0.3, 0.1)) == POINT_AT_INFINITY
+    # the same infinity a Moebius map returns at its pole
+    w = inverse_point(0.3, Circle(0.3, 0.1))
+    assert type(w) is complex
+    assert w == complex(math.inf, 0.0)
+    assert w == MoebiusMap(1.0, 0.0, 1.0, -0.3)(0.3)
 
 
 def test_inverse_point_involution_and_defining_relation():

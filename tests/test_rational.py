@@ -136,6 +136,13 @@ def test_cluster_roots_matches_greedy_loop():
         assert all(type(w) is complex for w in got)
 
 
+def test_roots_of_linear_polynomials():
+    # c z: np.roots strips the zero root and returns it as a real array
+    assert poly_roots(Polynomial([0.0, 2.0])) == [0j]
+    assert all(type(w) is complex for w in poly_roots(Polynomial([0.0, 2.0])))
+    assert poly_roots(Polynomial([1.0, 2.0])) == [-0.5 + 0j]
+
+
 def test_roots_requires_degree():
     with pytest.raises(ValueError):
         poly_roots(Polynomial([1.0]))
