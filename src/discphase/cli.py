@@ -44,7 +44,6 @@ from .geometry import (
     PairKind,
     RationalMultipleOfPi,
     UNIT_CIRCLE,
-    _segment_points,
     classify_angle,
     classify_pair,
 )
@@ -181,6 +180,17 @@ def cmd_certify(args) -> int:
     cert = certify_finite_points(b_f, b_g, Circle(0.0, r).sample_points(k), tol=args.tol)
     report = {"command": "certify", "certificate": cert.to_json()}
     return _emit(report, EXIT_OK if cert.equal_on_circle else EXIT_INCONCLUSIVE)
+
+
+def _segment_points(start: complex, end: complex, n: int) -> np.ndarray:
+    """``n`` equally spaced points on the segment [start, end]."""
+    if n < 1:
+        raise ValueError("n_points must be at least 1")
+    if not np.all(np.isfinite([start, end])):
+        raise ValueError(f"segment endpoint is not finite: {start}, {end}")
+    if n == 1:
+        return np.array([start])
+    return start + np.linspace(0.0, 1.0, n) * (end - start)
 
 
 def _parse_point_set(spec: str, n: int) -> np.ndarray:

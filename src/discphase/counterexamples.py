@@ -75,21 +75,21 @@ class StripMap:
     set of a disc-class quotient would have to be.  Within 1e-15 relative
     of a pole the value is complex(inf, 0).  Where exp(pi s) overflows
     (Re s above about 226) the quotient is divided through by it:
-    (i q - 1) / (i q + 1) with q = exp(-pi s).
+    (i q - 1) / (i q + 1) with q = exp(-pi s).  The points s = +-inf map to
+    the real-axis limits -+1.
     """
 
     def __call__(self, s):
         ss = np.asarray(s, dtype=complex)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             e = np.exp(np.pi * ss)
-        den = 1j + e
-        with np.errstate(divide="ignore", invalid="ignore"):
+            den = 1j + e
             out = (1j - e) / den
-        out = np.where(np.abs(den) <= 1e-15 * (1.0 + np.abs(e)), complex(np.inf, 0.0), out)
-        far = ~np.isfinite(e)
-        if np.any(far):
-            q = np.exp(-np.pi * ss[far])
-            out[far] = (1j * q - 1.0) / (1j * q + 1.0)
+            out = np.where(np.abs(den) <= 1e-15 * (1.0 + np.abs(e)), complex(np.inf, 0.0), out)
+            far = ~np.isfinite(e)
+            if np.any(far):
+                q = np.exp(-np.pi * ss[far])
+                out[far] = (1j * q - 1.0) / (1j * q + 1.0)
         return complex(out) if ss.ndim == 0 else out
 
 

@@ -200,38 +200,9 @@ class PresumedIrrational:
 AngleClass = Union[RationalMultipleOfPi, PresumedIrrational]
 
 
-def _segment_points(start: complex, end: complex, n: int) -> np.ndarray:
-    """``n`` equally spaced points on the segment [start, end]."""
-    if n < 1:
-        raise ValueError("n_points must be at least 1")
-    if not np.all(np.isfinite([start, end])):
-        raise ValueError(f"segment endpoint is not finite: {start}, {end}")
-    if n == 1:
-        return np.array([start])
-    return start + np.linspace(0.0, 1.0, n) * (end - start)
-
-
-def _map_through_pole(m: MoebiusMap, on_object, pole: complex) -> Line:
-    # object passes through the pole: its image is a straight line
-    if isinstance(on_object, Circle):
-        t0 = math.atan2((pole - on_object.center).imag, (pole - on_object.center).real)
-        p1 = m(on_object.point(t0 + 2.0 * math.pi / 3.0))
-        p2 = m(on_object.point(t0 - 2.0 * math.pi / 3.0))
-    else:
-        s = ((pole - on_object.point) / on_object.direction).real
-        scale = 1.0 + abs(s)
-        p1 = m(on_object.point + (s + scale) * on_object.direction)
-        p2 = m(on_object.point + (s - scale) * on_object.direction)
-    return Line(point=p1, direction=p2 - p1)
-
-
-def _verify_image(m: MoebiusMap, source, image, n: int = 16) -> None:
+def _verify_image(m: MoebiusMap, source: Circle, image, n: int = 16) -> None:
     # post-condition self-check: mapped sample points satisfy the image equation
-    if isinstance(source, Circle):
-        pts = source.sample_points(n, phase_offset=0.37)
-    else:
-        half = (1.0 + abs(source.point)) * source.direction
-        pts = _segment_points(source.point - half, source.point + half, n)
+    pts = source.sample_points(n, phase_offset=0.37)
     pole = m.pole()
     if pole is not None:
         keep = np.abs(pts - pole) > 1e-9 * (1.0 + abs(pole))
@@ -250,52 +221,31 @@ def _verify_image(m: MoebiusMap, source, image, n: int = 16) -> None:
         )
 
 
-def map_circle(m: MoebiusMap, gc: GeneralizedCircle) -> GeneralizedCircle:
-    """Image of a circle or line under a Moebius map.
+def map_circle(m: MoebiusMap, c: Circle) -> GeneralizedCircle:
+    """Image of a circle under a Moebius map: a Line when the circle passes
+    through the map's pole, else a Circle.
 
-    Circles and lines map to circles or lines; which one is decided by
-    whether the source passes through the map's pole.  Image circles are
-    computed exactly via the symmetric point of the pole (the symmetric
-    point of the map's pole w.r.t. the source maps to the image centre),
-    which avoids three-point circumcentre cancellation.
+    Image circles are computed exactly via the symmetric point of the pole
+    (the symmetric point of the map's pole w.r.t. the source maps to the
+    image centre), which avoids three-point circumcentre cancellation.
     """
     pole = m.pole()
     if pole is None:
         # affine map: w = (a z + b) / d
-        ratio = m.a / m.d
-        if isinstance(gc, Circle):
-            image: GeneralizedCircle = Circle(m(gc.center), abs(ratio) * gc.radius)
-        else:
-            image = Line(m(gc.point), ratio * gc.direction)
-        _verify_image(m, gc, image)
-        return image
-
-    if isinstance(gc, Circle):
-        dist = abs(abs(pole - gc.center) - gc.radius)
-        through_pole = dist <= 1e-13 * (gc.radius + abs(pole - gc.center))
+        image: GeneralizedCircle = Circle(m(c.center), abs(m.a / m.d) * c.radius)
+    elif abs(abs(pole - c.center) - c.radius) <= 1e-13 * (c.radius + abs(pole - c.center)):
+        # the circle passes through the pole: its image is a straight line
+        t0 = math.atan2((pole - c.center).imag, (pole - c.center).real)
+        p1 = m(c.point(t0 + 2.0 * math.pi / 3.0))
+        p2 = m(c.point(t0 - 2.0 * math.pi / 3.0))
+        image = Line(point=p1, direction=p2 - p1)
     else:
-        through_pole = gc.distance_to(pole) <= 1e-13 * (1.0 + abs(pole - gc.point))
-
-    if through_pole:
-        image = _map_through_pole(m, gc, pole)
-        _verify_image(m, gc, image)
-        return image
-
-    if isinstance(gc, Circle):
-        if abs(pole - gc.center) == 0.0:
-            sym = None  # symmetric point is infinity; centre image is m(inf) = a/c
+        if abs(pole - c.center) == 0.0:
+            center = m.a / m.c  # the symmetric point is infinity, and m(inf) = a/c
         else:
-            sym = gc.center + gc.radius**2 / (pole - gc.center).conjugate()
-        center = m.a / m.c if sym is None else m(sym)
-        radius = abs(m(gc.point(0.0)) - center)
-        image = Circle(center, radius)
-    else:
-        # reflect the pole across the line; the reflection maps to the centre
-        sym = gc.point + gc.direction**2 * (pole - gc.point).conjugate()
-        center = m(sym)
-        radius = abs(m(gc.point) - center)
-        image = Circle(center, radius)
-    _verify_image(m, gc, image)
+            center = m(c.center + c.radius**2 / (pole - c.center).conjugate())
+        image = Circle(center, abs(m(c.point(0.0)) - center))
+    _verify_image(m, c, image)
     return image
 
 

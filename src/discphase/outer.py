@@ -26,7 +26,13 @@ _RHO_MAX = 0.99
 
 
 class BoundaryModulus(ModulusData):
-    """Positive moduli at the points e^{i t_k} of the uniform grid t_k = 2 pi k / n."""
+    """Moduli at the points e^{i t_k} of the uniform grid t_k = 2 pi k / n.
+
+    At least 16 finite non-negative values (else ValueError), each above
+    1e-10 (else ZeroOnBoundary): zeros on the circle must be divided out
+    before the modulus fixes an outer factor.  Every route to an outer
+    factor builds one of these, so every route applies the rule.
+    """
 
     __slots__ = ("_log",)
 
@@ -34,8 +40,13 @@ class BoundaryModulus(ModulusData):
         moduli = np.asarray(values, dtype=float).ravel()
         if len(moduli) < _MIN_GRID:
             raise ValueError(f"grid size must be >= {_MIN_GRID}, got {len(moduli)}")
-        if not np.all(np.isfinite(moduli)) or np.any(moduli <= 0.0):
+        if not np.all(np.isfinite(moduli)) or np.any(moduli < 0.0):
             raise ValueError("modulus values must be positive and finite")
+        if float(moduli.min()) <= 1e-10:
+            raise ZeroOnBoundary(
+                f"boundary moduli reach {float(moduli.min()):.3e}; zeros on the unit "
+                "circle must be divided out first"
+            )
         # the grid is built here, so ModulusData's on-circle and distinctness
         # checks could not fail and are not run
         self.circle = UNIT_CIRCLE
@@ -86,22 +97,11 @@ class OuterFunction:
         return complex(out) if zz.ndim == 0 else out
 
 
-def _reject_boundary_zero(moduli: np.ndarray) -> None:
-    """ZeroOnBoundary if a modulus is <= 1e-10: zeros on the circle must be
-    divided out before an outer factor makes sense."""
-    if float(moduli.min()) <= 1e-10:
-        raise ZeroOnBoundary(
-            f"boundary moduli reach {float(moduli.min()):.3e}; zeros on the unit "
-            "circle must be divided out first"
-        )
-
-
 def boundary_modulus_of(func, n: int) -> BoundaryModulus:
     """Sample |func| on the uniform n-point boundary grid.
 
-    A pole on the circle raises EvaluationAtPole, a modulus <= 1e-10
+    A pole on the circle raises EvaluationAtPole; the grid is then checked
+    by BoundaryModulus, so n < 16 raises ValueError and a modulus <= 1e-10
     ZeroOnBoundary.
     """
-    moduli = modulus_samples(func, UNIT_CIRCLE.sample_points(n)).moduli
-    _reject_boundary_zero(moduli)
-    return BoundaryModulus(moduli)
+    return BoundaryModulus(modulus_samples(func, UNIT_CIRCLE.sample_points(n)).moduli)

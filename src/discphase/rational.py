@@ -116,10 +116,10 @@ class RationalFunction:
         return complex(out) if zz.ndim == 0 else out
 
     def zeros(self) -> list[complex]:
-        return poly_roots(self.num) if self.num.degree >= 1 else []
+        return poly_roots(self.num)
 
     def poles(self) -> list[complex]:
-        return poly_roots(self.den) if self.den.degree >= 1 else []
+        return poly_roots(self.den)
 
     @classmethod
     def from_zeros_poles(cls, zeros, poles) -> "RationalFunction":
@@ -182,15 +182,19 @@ def poly_roots(p: Polynomial) -> list[complex]:
     """All roots of ``p`` as a multiset of Python complex numbers (cluster
     representatives repeated).
 
-    For every degree, 1 included, the roots are the eigenvalues of the
-    balanced companion matrix (``np.roots``; backward stable, Edelman &
-    Murakami 1995), refined by three Newton sweeps.  Every root must then
+    A nonzero constant has no roots and gives []; the zero polynomial, of
+    which every point is a root, raises ValueError.  For every degree from
+    1 up, the roots are the eigenvalues of the balanced companion matrix
+    (``np.roots``; backward stable, Edelman & Murakami 1995), refined by
+    three Newton sweeps.  Every root must then
     satisfy |p(root)| <= 1e-9 * max|coeff| * max(1, |root|)^deg, or
     NonConvergence is raised.  Roots within 1e-8 of the first root of their
     cluster (in real-then-imaginary order) are replaced by the cluster mean.
     """
-    if p.degree < 1 or p.is_zero:
-        raise ValueError("root finding requires degree >= 1")
+    if p.is_zero:
+        raise ValueError("every point is a root of the zero polynomial")
+    if p.degree == 0:
+        return []
     coeffs = p.coeffs
     # np.roots returns a real array when every root is a stripped zero (c z)
     roots = _newton_polish(coeffs, np.roots(coeffs[::-1]).astype(complex))
@@ -280,7 +284,5 @@ def equality_points_on_circle(b1: BlaschkeProduct, b2: BlaschkeProduct, r: float
     eq = modulus_equation(b1, b2, r)
     if eq.is_identically_zero:
         raise AllOfCircle("the moduli agree on the whole circle")
-    if eq.poly.degree < 1:
-        return []
     roots = poly_roots(eq.poly)
     return [w for w in roots if abs(abs(w) - r) <= 1e-8]

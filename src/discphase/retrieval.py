@@ -47,7 +47,7 @@ from .errors import (
     ZeroOnCircle,
 )
 from .geometry import Circle
-from .outer import BoundaryModulus, OuterFunction, _reject_boundary_zero
+from .outer import BoundaryModulus, OuterFunction
 from .rational import Polynomial, RationalFunction, modulus_equation, poly_roots
 
 #: half-width of the pole separation dead band around [r, 1]
@@ -153,10 +153,7 @@ def fit_modulus_rational(data: ModulusData, degree: int) -> ModulusFit:
 def _recover(data: ModulusData, degree: int, residual_tol: float) -> tuple[BlaschkeProduct, float]:
     fit = fit_modulus_rational(data, degree)
     r = data.circle.radius
-    if fit.den_scaled.degree >= 1:
-        poles = np.array([r * w for w in poly_roots(fit.den_scaled)])
-    else:
-        poles = np.array([], dtype=complex)
+    poles = np.array([r * w for w in poly_roots(fit.den_scaled)], dtype=complex)
     mods = np.abs(poles)
     in_band = (mods >= r - _POLE_BAND) & (mods <= 1.0 + _POLE_BAND)
     if np.any(in_band):
@@ -185,7 +182,9 @@ def _recover(data: ModulusData, degree: int, residual_tol: float) -> tuple[Blasc
 def _search_degree(
     data: ModulusData, config: RetrievalConfig
 ) -> tuple[int, BlaschkeProduct, float]:
-    cap = min(config.degree_max, (len(data) - 2) // 4)
+    # floored at 0 so that too few samples fail in degree 0's fit, not with
+    # an empty failure list
+    cap = max(0, min(config.degree_max, (len(data) - 2) // 4))
     failures: list[str] = []
     for degree in range(cap + 1):
         try:
@@ -286,7 +285,6 @@ def retrieve_two_circles(
     config = config or RetrievalConfig()
 
     with _stage("boundary"):
-        _reject_boundary_zero(data_boundary.moduli)
         boundary = _boundary_from_data(data_boundary)
         outer = OuterFunction(boundary)
 

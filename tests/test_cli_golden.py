@@ -78,6 +78,13 @@ INPUTS = {
 
 POINTS_CSV = "re,im\n0.5,0.0\n0.0,0.5\n-0.5,0.0\n0.0,-0.5\n0.5,0.0\n0.25,0.25\n"
 
+#: 16-node unit-circle moduli with an exact zero at t = 0, and 16 unit moduli on 0.5 T
+_T16 = [2 * np.pi * k / 16 for k in range(16)]
+ZERO_T_CSV = "t,modulus\n" + "".join(f"{t!r},{float(k > 0)!r}\n" for k, t in enumerate(_T16))
+ONE_R_CSV = "index,re,im,modulus\n" + "".join(
+    f"{k},{float(0.5 * np.cos(t))!r},{float(0.5 * np.sin(t))!r},1.0\n" for k, t in enumerate(_T16)
+)
+
 CASES = {
     # sample
     "sample_boundary": ["sample", "--f", "product.json", "--circle", "0,0,1", "--n", "32", "--out", "t.csv"],
@@ -103,6 +110,10 @@ CASES = {
     ],
     "sample_boundary_near_zero": [
         "sample", "--f", "near_zero_on_t.json", "--circle", "0,0,1", "--n", "64", "--out", "t.csv",
+    ],
+    # retrieve applies the same zero rule to a boundary file
+    "retrieve_boundary_zero": [
+        "retrieve", "--boundary", "zero_t.csv", "--inner", "one_r.csv", "--r", "0.5",
     ],
     "sample_bad_circle": ["sample", "--f", "b1.json", "--circle", "0,0,-1", "--n", "8", "--out", "s.csv"],
     # certify
@@ -167,6 +178,8 @@ def _write_inputs(workdir: Path) -> None:
     for name, obj in INPUTS.items():
         (workdir / name).write_text(json.dumps(obj))
     (workdir / "points.csv").write_text(POINTS_CSV)
+    (workdir / "zero_t.csv").write_text(ZERO_T_CSV)
+    (workdir / "one_r.csv").write_text(ONE_R_CSV)
 
 
 def _sampled(descriptor: str, n: int) -> list[list[str]]:

@@ -222,6 +222,14 @@ def test_strip_map_pole_is_infinite():
     assert abs(out[1]) < 1e-15
 
 
+def test_strip_map_infinite_points_give_the_real_axis_limits():
+    # the test run turns a RuntimeWarning into a failure
+    assert StripMap()(complex(math.inf, 0.0)) == -1.0
+    assert StripMap()(complex(-math.inf, 0.0)) == 1.0
+    out = StripMap()(np.array([math.inf, -math.inf, 0.5j], dtype=complex))
+    assert out[:2].tolist() == [-1.0, 1.0] and abs(out[2]) < 1e-15
+
+
 def test_strip_map_far_right_tends_to_minus_one():
     # exp(pi s) overflows past Re s = 226; the value stays finite and unimodular
     # on the edges, as on either side of the switch

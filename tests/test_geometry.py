@@ -171,16 +171,6 @@ def test_map_circle_point_mapping_oracle():
         assert np.abs(np.abs(pts - image.center) - image.radius).max() < 1e-10
 
 
-def test_map_line_to_circle_and_back():
-    # an automorphism with a finite pole bends a segment-line into a circle
-    m = disc_automorphism(1.0, 0.4 + 0.2j)
-    line = Line(0.1, np.exp(0.3j))
-    image = map_circle(m, line)
-    assert isinstance(image, Circle)
-    pts = m(line.point + np.linspace(-0.5, 0.5, 32) * line.direction)
-    assert np.abs(np.abs(pts - image.center) - image.radius).max() < 1e-10
-
-
 # ------------------------------------------- circle as an automorphism image
 
 

@@ -94,8 +94,11 @@ def test_grid_validation():
     assert np.array_equal(bm.points, UNIT_CIRCLE.sample_points(16))
     with pytest.raises(ValueError):
         BoundaryModulus(np.ones(8))  # too coarse
-    with pytest.raises(ValueError):
-        BoundaryModulus(np.array([1.0] * 31 + [0.0]))  # nonpositive
+    with pytest.raises(ValueError, match="positive and finite"):
+        BoundaryModulus(np.array([1.0] * 31 + [-1.0]))
+    for zero in (0.0, 1e-11):  # at or below the 1e-10 zero rule
+        with pytest.raises(ZeroOnBoundary):
+            BoundaryModulus(np.array([1.0] * 31 + [zero]))
 
 
 def test_boundary_csv_roundtrip(tmp_path):

@@ -144,8 +144,10 @@ def test_roots_of_linear_polynomials():
 
 
 def test_roots_requires_degree():
+    # a nonzero constant has no roots; every point is a root of the zero polynomial
+    assert poly_roots(Polynomial([2.0 - 1j])) == []
     with pytest.raises(ValueError):
-        poly_roots(Polynomial([1.0]))
+        poly_roots(Polynomial([0.0]))
 
 
 # ------------------------------------------------------------ rational objects

@@ -14,6 +14,7 @@ from discphase import (
     RationalFunction,
     RetrievalConfig,
     UNIT_CIRCLE,
+    ZeroOnBoundary,
     ZeroOnCircle,
     align_constant,
     boundary_modulus_of,
@@ -188,6 +189,12 @@ def test_estimate_degree_singular_inner_exceeds_cap():
     assert info.value.stage == "degree_search"
 
 
+def test_degree_search_with_too_few_inner_samples_names_the_cause():
+    data = ModulusData(Circle(0.0, 0.5), [0.5], [1.0])
+    with pytest.raises(ValueError, match="need at least 2 samples for degree 0, got 1"):
+        retrieve_two_circles(_unit_boundary(16), data)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-7])
 @pytest.mark.parametrize("field", ["residual_tol"])
 def test_retrieval_config_requires_finite_positive_tolerances(field, value):
@@ -264,6 +271,15 @@ def test_retrieve_rejects_boundary_data_off_the_unit_circle():
     inner = sample_modulus(f, Circle(0.0, 0.5), 64)
     with pytest.raises(ValueError, match="unit circle"):
         retrieve_two_circles(inner, inner)
+
+
+def test_retrieve_rejects_boundary_data_with_a_zero_in_the_boundary_stage():
+    moduli = np.ones(64)
+    moduli[7] = 0.0
+    boundary = ModulusData(UNIT_CIRCLE, UNIT_CIRCLE.sample_points(64), moduli)
+    with pytest.raises(ZeroOnBoundary) as info:
+        retrieve_two_circles(boundary, _unit_boundary(64))
+    assert info.value.stage == "boundary"
 
 
 def test_retrieve_outer_only():
