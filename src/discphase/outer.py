@@ -1,7 +1,7 @@
 """Zero-free analytic functions reconstructed from boundary modulus data.
 
-Given samples m_k = |f(e^{i t_k})| on a uniform grid of the unit circle,
-the associated outer function is
+Given samples m_k = |f(w_k)| at the nodes w_k = e^{2 pi i k / n} of the
+unit circle, the associated outer function is
 
     u(z) = exp( (1/2 pi) integral (e^{it} + z) / (e^{it} - z) log m(t) dt ),
 
@@ -9,9 +9,31 @@ discretized by the uniform trapezoid rule, which is spectrally accurate for
 smooth periodic log-modulus.  u has no zeros in the disc, u(0) > 0, and
 |u| has boundary values m.  Evaluation is trusted only up to |z| = 0.99:
 the kernel amplifies the quadrature error like 1/(1 - |z|).
+
+Expanding the kernel in powers of z / w_k sums the rule in closed form:
+with c = FFT(log m) / n,
+
+    log u(z) = c_0 + 2 sum_{j=1..n} c_{j mod n} z^j / (1 - z^n),
+
+the same quadrature with no n x m kernel matrix (Henrici, "Fast Fourier
+methods in computational complex analysis", SIAM Review 1979).  The
+degree-n polynomial is evaluated in one of two ways, chosen from the points:
+
+* a uniform circle grid z_k = z_0 e^{2 pi i k / m} in that order (m >= 2,
+  z_0 != 0): fold c_{j mod n} z_0^j by j mod m and take one inverse FFT
+  of length m;
+* any other points: blocks of B = ceil(sqrt(n + 1)) coefficients
+  (Paterson-Stockmeyer), one m x B power matrix times the B x
+  ceil((n + 1) / B) coefficient matrix, then Horner steps in z^B, so memory
+  is O(m sqrt(n)).
+
+u(0) = exp(c_0) is real, since c_0 is the mean of log m.
 """
 
 from __future__ import annotations
+
+import cmath
+import math
 
 import numpy as np
 
@@ -23,6 +45,9 @@ _MIN_GRID = 16
 
 #: largest |z| at which the outer function is evaluated
 _RHO_MAX = 0.99
+
+#: largest distance, relative to |z_0|, of a point from the circle grid it is taken for
+_GRID_TOL = 1e-14
 
 
 class BoundaryModulus(ModulusData):
@@ -78,10 +103,18 @@ class BoundaryModulus(ModulusData):
 class OuterFunction:
     """Outer function with the given boundary modulus; callable on |z| <= 0.99."""
 
-    __slots__ = ("boundary",)
+    __slots__ = ("boundary", "_c0", "_coeffs", "_blocks")
 
     def __init__(self, boundary: BoundaryModulus):
         self.boundary = boundary
+        n = boundary.n
+        c = np.fft.fft(boundary._log) / n
+        self._c0 = float(c[0].real)
+        size = math.isqrt(n) + 1  # B = ceil(sqrt(n + 1))
+        coeffs = np.zeros(-(-(n + 1) // size) * size, dtype=complex)
+        coeffs[1 : n + 1] = 2.0 * np.roll(c, -1)  # 2 c_{j mod n}, j = 1..n
+        self._coeffs = coeffs[: n + 1]
+        self._blocks = coeffs.reshape(-1, size).T  # column q: j = q B .. q B + B - 1
 
     def __call__(self, z):
         """Evaluate the Schwarz-integral exponential at scalar or array z."""
@@ -89,12 +122,49 @@ class OuterFunction:
         if np.any(np.abs(zz) > _RHO_MAX):
             worst = float(np.abs(zz).max())
             raise EvaluationTooCloseToBoundary(f"|z| = {worst!r} exceeds rho_max = {_RHO_MAX!r}")
-        flat = zz.ravel()
-        nodes = self.boundary.points[None, :]
-        kernel = (nodes + flat[:, None]) / (nodes - flat[:, None])
-        exponent = kernel @ self.boundary._log / self.boundary.n
-        out = np.exp(exponent).reshape(zz.shape)
+        unit = _unit_grid_of(zz)
+        if unit is None:
+            series, z_n = self._blocked(zz.ravel())
+        else:
+            series, z_n = self._on_grid(complex(zz[0]), unit)
+        out = np.exp(self._c0 + series / (1.0 - z_n)).reshape(zz.shape)
         return complex(out) if zz.ndim == 0 else out
+
+    def _on_grid(self, z0: complex, unit: np.ndarray):
+        """The series and z^n at z_k = z0 unit_k: one inverse FFT of length m."""
+        n, m = self.boundary.n, len(unit)
+        j = np.arange(n + 1)
+        powers = abs(z0) ** j * np.exp(1j * cmath.phase(z0) * j)
+        folded = np.zeros(-(-(n + 1) // m) * m, dtype=complex)
+        folded[: n + 1] = self._coeffs * powers
+        series = np.fft.ifft(folded.reshape(-1, m).sum(axis=0), norm="forward")
+        return series, powers[n] * unit[n * np.arange(m) % m]
+
+    def _blocked(self, flat: np.ndarray):
+        """The series and z^n at any points: Paterson-Stockmeyer blocks."""
+        n = self.boundary.n
+        size, rows = self._blocks.shape
+        powers = np.vander(flat, size, increasing=True)
+        z_size = powers[:, -1] * flat
+        partial = powers @ self._blocks
+        series = partial[:, -1]
+        for q in range(rows - 2, -1, -1):
+            series = series * z_size + partial[:, q]
+        return series, powers[:, n % size] * z_size ** (n // size)
+
+
+def _unit_grid_of(zz: np.ndarray):
+    """e^{2 pi i k / m} when the 1-D points are zz[0] times it (m >= 2,
+    zz[0] != 0), else None.
+
+    Points within 1e-14 |zz[0]| of the grid count as on it: evaluating at
+    the exact grid then moves u by round-off only.
+    """
+    if zz.ndim != 1 or len(zz) < 2 or zz[0] == 0:
+        return None
+    unit = UNIT_CIRCLE.sample_points(len(zz))
+    on_grid = float(np.abs(zz - zz[0] * unit).max()) <= _GRID_TOL * abs(zz[0])
+    return unit if on_grid else None  # a NaN point fails the test
 
 
 def boundary_modulus_of(func, n: int) -> BoundaryModulus:

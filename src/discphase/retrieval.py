@@ -310,7 +310,7 @@ def retrieve_two_circles(
 
     with _stage("assemble"):
         # max modulus errors of B * u on the unit-circle grid and the inner
-        # samples; u_abs is reused so the n x n outer evaluation is not repeated
+        # samples; u_abs is reused so the outer factor is not evaluated twice
         m_t = boundary.moduli
         residual_t = float(np.abs(np.abs(b(boundary.points)) * m_t - m_t).max())
         residual_rt = float(

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from discphase import (
     BlaschkeProduct,
     BoundaryModulus,
+    Circle,
     EvaluationTooCloseToBoundary,
     ModulusData,
     ModulusSamples,
@@ -142,3 +145,115 @@ def test_boundary_csv_rejects_nan_grid_node(tmp_path):
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(ValueError, match="grid"):
         BoundaryModulus.from_csv(path)
+
+
+def _trapezoid_reference(boundary, z):
+    """The trapezoid rule summed directly, in chunks of 64 points, in extended
+    precision with nodes computed there: at |z| = 0.99 the kernel magnifies
+    the rounding of double-precision nodes to about 1e-13."""
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel().astype(np.clongdouble)
+    n = boundary.n
+    t = 2 * np.arccos(np.longdouble(-1)) * np.arange(n, dtype=np.longdouble) / n
+    nodes = np.cos(t) + 1j * np.sin(t).astype(np.clongdouble)
+    log = np.log(boundary.moduli.astype(np.longdouble))
+    exponent = np.empty(len(flat), dtype=np.clongdouble)
+    for s in range(0, len(flat), 64):
+        chunk = flat[s : s + 64, None]
+        exponent[s : s + 64] = ((nodes + chunk) / (nodes - chunk) * log).sum(axis=1) / n
+    return np.exp(exponent.astype(complex)).reshape(z.shape)
+
+
+def _agreement_points(n, rng):
+    scattered = 0.989 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
+    edge = np.array([0.99, -0.99, 0.99j, -0.99j])
+    assert np.all(np.abs(edge) == 0.99)
+    return {
+        "centred grid, m = n": Circle(0.0, 0.9).sample_points(n),
+        "centred grid, m != n": Circle(0.0, 0.985).sample_points(77),
+        "grid with a phase offset": Circle(0.0, 0.7).sample_points(100, 0.3),
+        "grid in reversed order": Circle(0.0, 0.6).sample_points(64)[::-1],
+        "scattered": scattered,
+        "|z| = 0.99": edge,
+        "2-D array": scattered[:24].reshape(4, 6),
+    }
+
+
+@pytest.mark.parametrize("n", [16, 256, 4096])
+def test_agrees_with_direct_trapezoid_sum(n):
+    rng = np.random.default_rng(n)
+    boundary = BoundaryModulus(np.exp(0.5 * rng.standard_normal(n)))
+    u = OuterFunction(boundary)
+    for label, z in _agreement_points(n, rng).items():
+        got = u(z)
+        assert got.shape == z.shape, label
+        assert np.abs(got / _trapezoid_reference(boundary, z) - 1.0).max() <= 1e-13, label
+
+
+def test_value_at_zero_in_every_shape():
+    rng = np.random.default_rng(7)
+    boundary = BoundaryModulus(np.exp(0.5 * rng.standard_normal(256)))
+    u = OuterFunction(boundary)
+    expected = _trapezoid_reference(boundary, 0.0)
+    for z in (0.0, np.array(0.0)):
+        assert isinstance(u(z), complex) and u(z) == pytest.approx(expected, rel=1e-13)
+    block = u(np.zeros((2, 3)))
+    assert block.shape == (2, 3) and np.abs(block / expected - 1.0).max() <= 1e-13
+    empty = u(np.array([]))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
+@pytest.mark.parametrize("n", [64, 4096])
+def test_value_at_zero_is_exactly_real(n):
+    rng = np.random.default_rng(n)
+    u = OuterFunction(BoundaryModulus(np.exp(rng.standard_normal(n))))
+    w = u(0.0)
+    assert w.imag == 0.0
+    assert w.real > 0.0
+
+
+def test_scattered_evaluation_memory_is_small():
+    """No n x m array: 1024 points at n = 4096 stay far below the 64 MiB of
+    one complex 1024 x 4096 matrix."""
+    rng = np.random.default_rng(11)
+    u = OuterFunction(BoundaryModulus(np.exp(0.3 * rng.standard_normal(4096))))
+    pts = 0.95 * np.sqrt(rng.uniform(size=1024)) * np.exp(2j * np.pi * rng.uniform(size=1024))
+    tracemalloc.start()
+    try:
+        u(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_circle_grids_take_the_fft_branch():
+    from discphase.outer import _unit_grid_of
+
+    for grid in (
+        Circle(0.0, 0.5).sample_points(4096),
+        Circle(0.0, 0.7).sample_points(100, 0.3),
+        0.3j * UNIT_CIRCLE.sample_points(2),
+    ):
+        assert _unit_grid_of(grid) is not None
+    rng = np.random.default_rng(2)
+    for points in (
+        Circle(0.0, 0.5).sample_points(64)[::-1],
+        Circle(0.1, 0.5).sample_points(64),
+        0.5 * np.exp(2j * np.pi * rng.uniform(size=64)),
+        Circle(0.0, 0.5).sample_points(64).reshape(8, 8),
+        np.zeros(4),
+        np.array([0.5]),
+    ):
+        assert _unit_grid_of(points) is None
+
+
+def test_nan_point_on_a_grid_stays_nan():
+    u = OuterFunction(boundary_modulus_of(lambda z: 1 + z / 2, 64))
+    grid = Circle(0.0, 0.5).sample_points(8)
+    grid[3] = np.nan
+    with np.errstate(invalid="ignore"):
+        got = u(grid)
+    assert np.isnan(got[3])
+    keep = np.arange(8) != 3
+    assert np.abs(got[keep] - u(grid[keep])).max() < 1e-15
