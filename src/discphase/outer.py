@@ -54,9 +54,9 @@ class BoundaryModulus(ModulusData):
     """Moduli at the points e^{i t_k} of the uniform grid t_k = 2 pi k / n.
 
     At least 16 finite non-negative values (else ValueError), each above
-    1e-10 (else ZeroOnBoundary): zeros on the circle must be divided out
-    before the modulus fixes an outer factor.  Every route to an outer
-    factor builds one of these, so every route applies the rule.
+    1e-10 times the largest (else ZeroOnBoundary): zeros on the circle must
+    be divided out before the modulus fixes an outer factor.  Every route
+    to an outer factor builds one of these, so every route applies the rule.
     """
 
     __slots__ = ("_log",)
@@ -67,7 +67,7 @@ class BoundaryModulus(ModulusData):
             raise ValueError(f"grid size must be >= {_MIN_GRID}, got {len(moduli)}")
         if not np.all(np.isfinite(moduli)) or np.any(moduli < 0.0):
             raise ValueError("modulus values must be positive and finite")
-        if float(moduli.min()) <= 1e-10:
+        if float(moduli.min()) <= 1e-10 * float(moduli.max()):
             raise ZeroOnBoundary(
                 f"boundary moduli reach {float(moduli.min()):.3e}; zeros on the unit "
                 "circle must be divided out first"

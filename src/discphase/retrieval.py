@@ -8,11 +8,12 @@ circle of radius r:
    is unimodular there);
 2. dividing the interior-circle moduli by |u| leaves samples of |B| on
    that circle;
-3. |B|^2 on the circle extends to a rational function H(z) of numerator
-   and denominator degree <= 2N (reflection conj(z) = r^2/z), which is
-   fitted as a homogeneous least-squares problem; the poles of H split
-   into a cluster at r^2 * zeros (modulus < r^2) and reflected poles
-   (modulus > 1), so the zeros of B can be read off;
+3. |B|^2 on the circle extends to a rational function H of numerator and
+   denominator degree <= 2N (reflection conj(z) = r^2/z), which is fitted
+   as a homogeneous least-squares problem in w = z / r, where the sample
+   points lie on the unit circle; the poles of H, r times the roots of the
+   fitted denominator, split into a cluster at r^2 * zeros (modulus < r^2)
+   and reflected poles (modulus > 1), so the zeros of B can be read off;
 4. the global phase is unrecoverable: results are normalized to Blaschke
    constant 1 and outer positive at 0.
 
@@ -98,23 +99,23 @@ def _stage(name: str):
 
 @dataclass
 class ModulusFit:
-    """Result of the homogeneous rational fit of squared moduli on a circle."""
+    """Rational fit num / den of squared moduli on a circle, in w = z / r; den is monic."""
 
-    h: RationalFunction
+    num: Polynomial
+    den: Polynomial
     residual: float
     rank_deficient: bool
-    den_scaled: Polynomial
 
 
 def fit_modulus_rational(data: ModulusData, degree: int) -> ModulusFit:
-    """Fit H = P/Q with deg P, deg Q <= 2*degree to m^2 on the data circle.
+    """Fit P/Q with deg P, deg Q <= 2*degree to m^2 on the data circle.
 
-    Minimizes sum |P(z_k) - m_k^2 Q(z_k)|^2 over unit-norm coefficient
+    Minimizes sum |P(w_k) - m_k^2 Q(w_k)|^2 over unit-norm coefficient
     vectors via the smallest singular direction of the design matrix.  The
     fit is performed in the scaled variable w = z / r so the monomial
-    columns stay on the unit circle (well conditioned for every r); the
-    returned rational function is converted back to z.  The coefficient
-    vector is normalized so Q's leading kept coefficient is 1.
+    columns stay on the unit circle (well conditioned for every r).  The
+    design is reduced to its triangular QR factor first, whose SVD has the
+    same singular values and right vectors with no m x k left factor.
     """
     r = data.circle.radius
     if abs(data.circle.center) > 1e-12:
@@ -129,31 +130,24 @@ def fit_modulus_rational(data: ModulusData, degree: int) -> ModulusFit:
     m2 = data.moduli**2
     powers = w[:, None] ** np.arange(n_coeff)[None, :]
     design = np.hstack([powers, -m2[:, None] * powers])
-    _, s, vh = np.linalg.svd(design, full_matrices=False)
+    _, s, vh = np.linalg.svd(np.linalg.qr(design, mode="r"))
     x = vh[-1].conjugate()
-    residual = float(s[-1]) / np.sqrt(n_samples)
-    ratio = float(s[-2] / s[0]) if len(s) >= 2 and s[0] > 0 else 0.0
-    den_scaled = Polynomial(x[n_coeff:])
-    if den_scaled.is_zero:
+    den = Polynomial(x[n_coeff:])
+    if den.is_zero:
         raise ResidualTooLarge("fit produced an identically zero denominator")
-    lead = den_scaled.coeffs[-1]
-    num_scaled = Polynomial(x[:n_coeff] / lead)
-    den_scaled = Polynomial(den_scaled.coeffs / lead)
-    scale_back = r ** -np.arange(n_coeff)
-    num_z = Polynomial(np.pad(num_scaled.coeffs, (0, n_coeff - len(num_scaled.coeffs))) * scale_back)
-    den_z = Polynomial(np.pad(den_scaled.coeffs, (0, n_coeff - len(den_scaled.coeffs))) * scale_back)
+    lead = den.coeffs[-1]
     return ModulusFit(
-        h=RationalFunction(num_z, den_z),
-        residual=residual,
-        rank_deficient=ratio < _RANK_RATIO,
-        den_scaled=den_scaled,
+        num=Polynomial(x[:n_coeff] / lead),
+        den=Polynomial(den.coeffs / lead),
+        residual=float(s[-1]) / np.sqrt(n_samples),
+        rank_deficient=float(s[-2]) < _RANK_RATIO * float(s[0]),
     )
 
 
 def _recover(data: ModulusData, degree: int, residual_tol: float) -> tuple[BlaschkeProduct, float]:
     fit = fit_modulus_rational(data, degree)
     r = data.circle.radius
-    poles = np.array([r * w for w in poly_roots(fit.den_scaled)], dtype=complex)
+    poles = r * np.array(poly_roots(fit.den), dtype=complex)
     mods = np.abs(poles)
     in_band = (mods >= r - _POLE_BAND) & (mods <= 1.0 + _POLE_BAND)
     if np.any(in_band):
@@ -202,12 +196,12 @@ def _search_degree(
 
 @dataclass
 class RetrievalDiagnostics:
-    """Diagnostic record attached to a retrieval result."""
+    """Diagnostic record attached to a retrieval result.
 
-    degree_used: int
-    fit_residual: float
-    residual_T: float
-    residual_rT: float
+    forward_residual: max ||B| - m / |u|| on the inner samples, in |B| units.
+    """
+
+    forward_residual: float
     inner_radius: float
     n_samples_T: int
     n_samples_rT: int
@@ -227,7 +221,7 @@ class RetrievalResult:
     residual_T: float
     residual_rT: float
     degree_used: int
-    certificate: RetrievalDiagnostics
+    diagnostics: RetrievalDiagnostics
 
     def __call__(self, z):
         return self.blaschke(z) * self.outer(z)
@@ -247,7 +241,7 @@ class RetrievalResult:
             "residual_T": self.residual_T,
             "residual_rT": self.residual_rT,
             "degree": self.degree_used,
-            "certificate": self.certificate.to_json(),
+            "diagnostics": self.diagnostics.to_json(),
         }
 
 
@@ -306,26 +300,26 @@ def retrieve_two_circles(
         inner_data = ModulusData(circle_r, data_inner.points, inner_moduli)
 
     with _stage("degree_search"):
-        degree, b, fit_residual = _search_degree(inner_data, config)
+        degree, b, forward_residual = _search_degree(inner_data, config)
 
     with _stage("assemble"):
         # max modulus errors of B * u on the unit-circle grid and the inner
-        # samples; u_abs is reused so the outer factor is not evaluated twice
+        # samples, relative to the largest boundary modulus (which bounds
+        # |f| on both circles) so that c f and f are judged alike; u_abs is
+        # reused, not evaluated again
         m_t = boundary.moduli
-        residual_t = float(np.abs(np.abs(b(boundary.points)) * m_t - m_t).max())
+        scale = float(m_t.max())
+        residual_t = float(np.abs(np.abs(b(boundary.points)) * m_t - m_t).max()) / scale
         residual_rt = float(
             np.abs(np.abs(b(data_inner.points)) * u_abs - data_inner.moduli).max()
-        )
+        ) / scale
         if max(residual_t, residual_rt) > config.residual_tol:
             raise ResidualTooLarge(
                 f"assembled residuals ({residual_t:.3e}, {residual_rt:.3e}) exceed "
                 f"{config.residual_tol:.3e}"
             )
         diagnostics = RetrievalDiagnostics(
-            degree_used=degree,
-            fit_residual=fit_residual,
-            residual_T=residual_t,
-            residual_rT=residual_rt,
+            forward_residual=forward_residual,
             inner_radius=circle_r.radius,
             n_samples_T=len(data_boundary),
             n_samples_rT=len(data_inner),
@@ -338,7 +332,7 @@ def retrieve_two_circles(
         residual_T=residual_t,
         residual_rT=residual_rt,
         degree_used=degree,
-        certificate=diagnostics,
+        diagnostics=diagnostics,
     )
 
 

@@ -200,7 +200,7 @@ RETRIEVE_CASES = {
 }
 
 #: retrieve report fields that need only be at most the tolerance
-_RESIDUALS = {"residual_T", "residual_rT", "fit_residual"}
+_RESIDUALS = {"residual_T", "residual_rT", "forward_residual"}
 
 
 def _files(workdir: Path) -> dict[str, bytes]:
@@ -274,7 +274,7 @@ def test_retrieve_matches_golden(name, tmp_path):
     expected_code, expected_stdout, expected = _golden(name)
     assert code == expected_code == 0
     want = json.loads(expected_stdout)
-    tol = want["certificate"]["residual_tol"]
+    tol = want["diagnostics"]["residual_tol"]
     _assert_same_retrieval(json.loads(stdout), want, tol)
     assert sorted(written) == sorted(expected)
     for rel, data in written.items():

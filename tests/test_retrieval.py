@@ -23,6 +23,7 @@ from discphase import (
     modulus_samples,
     parametrize_pair,
     perpendicular_lines_pair,
+    poly_roots,
     retrieve_two_circles,
     sample_modulus,
     verify_equal_modulus,
@@ -63,11 +64,40 @@ def test_modulus_data_rejects_duplicate_points():
 # ------------------------------------------------------------------------ fit
 
 
+def _fitted(fit, r):
+    """The fitted rational as a function of z (the fit is in w = z / r)."""
+    h = RationalFunction(fit.num, fit.den)
+    return lambda z: h(np.asarray(z) / r)
+
+
+@pytest.mark.parametrize("degree", range(9))
+@pytest.mark.parametrize("m", [64, 256, 4096])
+@pytest.mark.parametrize("r", [0.3, 0.7])
+def test_fit_agrees_with_the_svd_of_the_explicit_design(degree, m, r):
+    # data of degree + 1, so the residual is above round-off and the
+    # smallest singular direction is unique
+    rng = np.random.default_rng([degree, m, int(10 * r)])
+    b = random_blaschke(rng, degree + 1, max_modulus=0.8, min_separation=0.2)
+    data = sample_modulus(b, Circle(0.0, r), m)
+    fit = fit_modulus_rational(data, degree)
+    n_coeff = 2 * degree + 1
+    powers = (data.points / r)[:, None] ** np.arange(n_coeff)
+    design = np.hstack([powers, -(data.moduli**2)[:, None] * powers])
+    _, s, vh = np.linalg.svd(design, full_matrices=False)
+    assert fit.residual == pytest.approx(s[-1] / np.sqrt(m), rel=1e-12)
+    assert abs(fit.den.coeffs[-1] - 1.0) < 1e-15
+    want = r * np.array(poly_roots(Polynomial(vh[-1, n_coeff:].conj())))
+    got = r * np.array(poly_roots(fit.den))
+    assert len(got) == len(want) == 2 * degree
+    for pole in want:
+        assert np.abs(got - pole).min() < 1e-9
+
+
 def test_fit_constant_function():
     data = sample_modulus(lambda z: 1.5 * np.ones(np.shape(z), dtype=complex), Circle(0.0, 0.5), 16)
     fit = fit_modulus_rational(data, 0)
     assert fit.residual < 1e-13
-    assert fit.h(0.5) == pytest.approx(2.25, abs=1e-10)
+    assert _fitted(fit, 0.5)(0.5) == pytest.approx(2.25, abs=1e-10)
 
 
 def test_fit_matches_reflection_identity_structure():
@@ -76,8 +106,9 @@ def test_fit_matches_reflection_identity_structure():
     data = sample_modulus(b, Circle(0.0, r), 64)
     fit = fit_modulus_rational(data, 1)
     assert fit.residual < 1e-10
-    zeros = sorted(fit.h.zeros(), key=lambda w: w.real)
-    poles = sorted(fit.h.poles(), key=lambda w: abs(w))
+    h = RationalFunction(fit.num, fit.den)
+    zeros = sorted((r * w for w in h.zeros()), key=lambda z: z.real)
+    poles = sorted((r * w for w in h.poles()), key=abs)
     assert zeros[0] == pytest.approx(0.3, abs=1e-8)
     assert zeros[1] == pytest.approx(r * r / 0.3, abs=1e-8)
     assert poles[0] == pytest.approx(r * r * 0.3, abs=1e-8)
@@ -92,7 +123,7 @@ def test_fit_forward_oracle_values():
     data = sample_modulus(b, Circle(0.0, r), 64)
     fit = fit_modulus_rational(data, 3)
     off = r * np.exp(1j * (2 * np.pi * np.arange(37) / 37 + 0.05))
-    assert np.abs(fit.h(off) - np.abs(b(off)) ** 2).max() < 1e-9
+    assert np.abs(_fitted(fit, r)(off) - np.abs(b(off)) ** 2).max() < 1e-9
 
 
 def test_fit_with_noise_keeps_poles_stable():
@@ -105,7 +136,7 @@ def test_fit_with_noise_keeps_poles_stable():
     data = ModulusData(Circle(0.0, r), pts, noisy)
     fit = fit_modulus_rational(data, 1)
     assert fit.residual < 1e-5
-    inner_pole = min(fit.h.poles(), key=abs)
+    inner_pole = r * min(RationalFunction(fit.num, fit.den).poles(), key=abs)
     assert abs(inner_pole - r * r * 0.3) < 5e-4
 
 
@@ -323,19 +354,24 @@ def test_retrieve_roundtrip_small_batch():
 
 
 def test_retrieve_scale_consistency():
+    # |f| = |g| exactly when |s f| = |s g|, so retrieval must not depend on
+    # the scale of the data: its residuals and its boundary zero rule are
+    # relative to the largest boundary modulus
     b = BlaschkeProduct(1.0, (0.25 + 0.1j,))
     f = _product_fn(b, [0.4])
     data_t = sample_modulus(f, UNIT_CIRCLE, 128)
     data_r = sample_modulus(f, Circle(0.0, 0.5), 128)
     base = retrieve_two_circles(data_t, data_r)
-    s = 3.7
-    scaled = retrieve_two_circles(
-        ModulusData(UNIT_CIRCLE, data_t.points, s * data_t.moduli),
-        ModulusData(Circle(0.0, 0.5), data_r.points, s * data_r.moduli),
-    )
-    assert scaled.blaschke.zeros[0] == pytest.approx(base.blaschke.zeros[0], abs=1e-9)
     zs = np.array([0.0, 0.3, -0.2j])
-    assert np.abs(scaled.outer(zs) - s * base.outer(zs)).max() < 1e-9 * s
+    for s in (3.7, 1e-12, 1e-9, 1e6, 1e8, 1e10, 1e12):
+        scaled = retrieve_two_circles(
+            ModulusData(UNIT_CIRCLE, data_t.points, s * data_t.moduli),
+            ModulusData(Circle(0.0, 0.5), data_r.points, s * data_r.moduli),
+        )
+        assert scaled.degree_used == base.degree_used == 1, s
+        assert scaled.blaschke.zeros[0] == pytest.approx(base.blaschke.zeros[0], abs=1e-9), s
+        assert max(scaled.residual_T, scaled.residual_rT) < 1e-13, s
+        assert np.abs(scaled.outer(zs) - s * base.outer(zs)).max() < 1e-9 * s, s
 
 
 def test_retrieve_at_the_true_degree_carries_no_rank_deficiency_note(caplog):
