@@ -66,7 +66,8 @@ dev = max(
     verify_equal_modulus(built.f, built.g, built.circle1.sample_points(512)).max_deviation,
     verify_equal_modulus(built.f, built.g, built.circle2.sample_points(512)).max_deviation,
 )
-show("two circles crossing at pi/2", dev, built.witness_deviation)
+wit = verify_equal_modulus(built.f, built.g, Circle(0.0, 0.45).sample_points(512)).max_deviation
+show("two circles crossing at pi/2", dev, wit)
 
 # strip map: one function, unimodular on both edges of the strip
 strip = StripMap()

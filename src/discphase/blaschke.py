@@ -82,9 +82,8 @@ class BlaschkeProduct:
     def from_json(cls, obj: dict) -> "BlaschkeProduct":
         if obj.get("type") != "blaschke":
             raise ValueError(f"not a blaschke descriptor: {obj.get('type')!r}")
-        constant = complex(obj["constant"][0], obj["constant"][1])
-        zeros = [complex(re, im) for re, im in obj["zeros"]]
-        return cls(constant, tuple(zeros))
+        re, im = obj["constant"]
+        return cls(complex(re, im), tuple(complex(re, im) for re, im in obj["zeros"]))
 
 
 #: explicit points closer than this to an earlier kept point are dropped

@@ -80,6 +80,12 @@ def _emit(report: dict, code: int) -> int:
     return code
 
 
+def _write_json(path, obj: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
 def _fail(code: int, message: str, **extra) -> int:
     print(f"error: {message}", file=sys.stderr)
     return _emit({"error": message, **extra}, code)
@@ -156,9 +162,7 @@ def cmd_retrieve(args) -> int:
         result.outer.boundary.to_csv(outer_csv)
     report = {"command": "retrieve", **result.to_json(outer_csv=outer_csv)}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"status": _STATUS[EXIT_OK], **report}, fh, indent=2)
-            fh.write("\n")
+        _write_json(args.out, {"status": _STATUS[EXIT_OK], **report})
     return _emit(report, EXIT_OK)
 
 
@@ -271,86 +275,77 @@ def _unimodularity(expr, pts) -> dict:
     return {"max_unimodularity_deviation": dev, "n_points": len(pts)}
 
 
+def _lines_example(k: int, f, g, n: int) -> tuple:
+    ends = [0.9 * np.exp(1j * np.pi * m / k) for m in range(k)]
+    sets = {f"line_{m}": _segment_points(-end, end, n) for m, end in enumerate(ends)}
+    return (f, g), _pair_verification(f, g, sets, Circle(0.0, 0.5).sample_points(n))
+
+
+def _finite_set_example(args, n: int) -> tuple:
+    xs = tuple(args.r * np.exp(2j * np.pi * np.arange(args.n_x) / args.n_x))
+    u, v = BlaschkeProduct(1.0, (0.2,)), BlaschkeProduct(1.0, (0.6,))
+    f, g = finite_set_pair(xs, args.alpha, u, v)
+    extra = _pair_verification(
+        f, g, {"unit_circle": UNIT_CIRCLE.sample_points(n)}, Circle(0.0, 0.5).sample_points(n)
+    )
+    alpha = complex(args.alpha)
+    pts = np.array(xs)
+    extra["finite_set"] = {
+        "points": [[x.real, x.imag] for x in xs],
+        "max_value_deviation": float(np.abs(f(pts) - alpha).max())
+        + float(np.abs(g(pts) - alpha).max()),
+    }
+    return (f, g), extra
+
+
+def _right_angle_example(args, n: int) -> tuple:
+    built = two_circle_right_angle_pair(args.c1, args.c2)
+    sets = {"circle1": built.circle1.sample_points(n), "circle2": built.circle2.sample_points(n)}
+    extra = _pair_verification(built.f, built.g, sets, Circle(0.0, 0.45).sample_points(n))
+    extra["circles"] = [built.circle1.to_json(), built.circle2.to_json()]
+    extra["base_angle"] = built.base_angle
+    return (built.f, built.g), extra
+
+
+def _strip_example(args, n: int) -> tuple:
+    strip = StripMap()
+    edge = np.linspace(-3.0, 3.0, n)
+    rows = 0.1 + 0.8 * np.arange(24) / 24
+    interior = np.array([complex(x, y) for y in rows for x in np.linspace(-2.0, 2.0, 21)])
+    inside = np.abs(strip(interior))
+    return (strip,), {
+        "edge_im0": _unimodularity(strip, edge.astype(complex)),
+        "edge_im1": _unimodularity(strip, 1j + edge),
+        "interior_max_modulus": float(inside.max()),
+        "maps_strip_into_disc": bool(inside.max() < 1.0),
+    }
+
+
+#: example name -> make(args, n): (expressions written as f.json, g.json; report fields)
+_EXAMPLES = {
+    "perpendicular_lines": lambda args, n: _lines_example(2, *perpendicular_lines_pair(), n),
+    "rational_angle": lambda args, n: _lines_example(
+        args.k, *rational_angle_pair(args.k, args.c1, args.c2), n
+    ),
+    "finite_set": _finite_set_example,
+    "right_angle_circles": _right_angle_example,
+    "strip": _strip_example,
+    "inverse_points": lambda args, n: ((), {"report": inverse_points_demo(n_samples=n).to_json()}),
+}
+
+
 def cmd_example(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    name = args.name
-    n = 512
-    if name == "perpendicular_lines" or name == "rational_angle":
-        if name == "perpendicular_lines":
-            k, f, g = 2, *perpendicular_lines_pair()
-        else:
-            k = args.k
-            f, g = rational_angle_pair(k, args.c1, args.c2)
-        sets = {
-            f"line_{m}": _segment_points(
-                -0.9 * np.exp(1j * np.pi * m / k), 0.9 * np.exp(1j * np.pi * m / k), n
-            )
-            for m in range(k)
-        }
-        extra = _pair_verification(f, g, sets, Circle(0.0, 0.5).sample_points(n))
-        pair = (f, g)
-    elif name == "finite_set":
-        r = args.r
-        xs = tuple(r * np.exp(2j * np.pi * np.arange(args.n_x) / args.n_x))
-        u = BlaschkeProduct(1.0, (0.2,))
-        v = BlaschkeProduct(1.0, (0.6,))
-        f, g = finite_set_pair(xs, args.alpha, u, v)
-        extra = _pair_verification(
-            f, g, {"unit_circle": UNIT_CIRCLE.sample_points(n)}, Circle(0.0, 0.5).sample_points(n)
-        )
-        alpha = complex(args.alpha)
-        pts = np.array(xs)
-        extra["finite_set"] = {
-            "points": [[x.real, x.imag] for x in xs],
-            "max_value_deviation": float(np.abs(f(pts) - alpha).max())
-            + float(np.abs(g(pts) - alpha).max()),
-        }
-        pair = (f, g)
-    elif name == "right_angle_circles":
-        built = two_circle_right_angle_pair(args.c1, args.c2)
-        sets = {
-            "circle1": built.circle1.sample_points(n),
-            "circle2": built.circle2.sample_points(n),
-        }
-        extra = _pair_verification(built.f, built.g, sets, Circle(0.0, 0.45).sample_points(n))
-        extra["circles"] = [built.circle1.to_json(), built.circle2.to_json()]
-        extra["base_angle"] = built.base_angle
-        pair = (built.f, built.g)
-    elif name == "strip":
-        strip = StripMap()
-        edge = np.linspace(-3.0, 3.0, n)
-        rows = 0.1 + 0.8 * np.arange(24) / 24
-        interior = np.array([complex(x, y) for y in rows for x in np.linspace(-2.0, 2.0, 21)])
-        inside = np.abs(strip(interior))
-        extra = {
-            "edge_im0": _unimodularity(strip, edge.astype(complex)),
-            "edge_im1": _unimodularity(strip, 1j + edge),
-            "interior_max_modulus": float(inside.max()),
-            "maps_strip_into_disc": bool(inside.max() < 1.0),
-        }
-        pair = (strip, None)
-    elif name == "inverse_points":
-        rep = inverse_points_demo(n_samples=n)
-        extra = {"report": rep.to_json()}
-        pair = (None, None)
-    else:
-        raise ValueError(f"unknown example {name!r}")
-
+    exprs, extra = _EXAMPLES[args.name](args, 512)
     written = []
-    for label, expr in zip(("f", "g"), pair):
-        if expr is None:
-            continue
+    for label, expr in zip(("f", "g"), exprs):
         path = out_dir / f"{label}.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(function_expr_to_json(expr), fh, indent=2)
-            fh.write("\n")
+        _write_json(path, function_expr_to_json(expr))
         written.append(str(path))
-    report = {"command": "example", "name": name, "files": written, **extra}
+    report = {"command": "example", "name": args.name, "files": written, **extra}
     report_path = out_dir / "report.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump({"status": _STATUS[EXIT_OK], **report}, fh, indent=2)
-        fh.write("\n")
+    _write_json(report_path, {"status": _STATUS[EXIT_OK], **report})
     report["report_file"] = str(report_path)
     return _emit(report, EXIT_OK)
 
@@ -409,17 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("example", help="write a generated function family plus report")
-    p.add_argument(
-        "name",
-        choices=[
-            "perpendicular_lines",
-            "rational_angle",
-            "finite_set",
-            "right_angle_circles",
-            "strip",
-            "inverse_points",
-        ],
-    )
+    p.add_argument("name", choices=list(_EXAMPLES))
     p.add_argument("--k", type=int, default=3, help="rational_angle: number of lines")
     p.add_argument("--c1", type=float, default=2.0)
     p.add_argument("--c2", type=float, default=3.0)

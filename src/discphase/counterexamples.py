@@ -1,11 +1,15 @@
 """Explicit function families with equal moduli on lines, circles, or finite sets.
 
-Each generator returns declarative, serializable function expressions (not
-closures) together with the geometric set on which the advertised modulus
-identity holds, plus a witness showing the two functions are genuinely
-different.  These families mark the sharp edge of the uniqueness theory:
-equality of moduli on two lines at a rational-multiple-of-pi angle, or on
-the unit circle plus a finite set, does not force equality of functions.
+Each generator builds declarative, serializable function expressions (not
+closures).  ``rational_angle_pair``, ``perpendicular_lines_pair`` and
+``finite_set_pair`` return the pair (f, g); ``two_circle_right_angle_pair``
+returns the pair together with the two circles on which the moduli agree;
+``inverse_points_demo`` returns the moduli of one quotient on two circles.
+No generator returns a witness point: a caller that wants one evaluates
+the pair off the advertised set (``verify_equal_modulus``).  These families
+mark the sharp edge of the uniqueness theory: equality of moduli on two
+lines at a rational-multiple-of-pi angle, or on the unit circle plus a
+finite set, does not force equality of functions.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from .blaschke import BlaschkeProduct, equal_up_to_unimodular
 from .errors import UEqualsV
 from .geometry import _MAX_DENOMINATOR, Circle, Line, MoebiusMap, disc_automorphism, map_circle
 from .rational import Polynomial, RationalFunction
-from .retrieval import verify_equal_modulus
 
 _MAX_DEPTH = 8
 
@@ -259,8 +262,6 @@ class RightAnglePair:
     circle1: Circle
     circle2: Circle
     base_angle: float
-    witness_point: complex
-    witness_deviation: float
 
 
 def two_circle_right_angle_pair(c1: float = 2.0, c2: float = 3.0) -> RightAnglePair:
@@ -272,8 +273,7 @@ def two_circle_right_angle_pair(c1: float = 2.0, c2: float = 3.0) -> RightAngleP
     numerically (angle ``base_angle``), the lines are rotated onto the real
     and imaginary axes, and squaring makes both real, so
     (w^2 - c i)/(w^2 + c i) is unimodular on both circles for any c > 0.
-    Distinct parameters c1, c2 give distinct functions; a witness point off
-    the circles with modulus gap > 1e-3 is returned.
+    Distinct parameters c1, c2 give distinct functions.
     """
     if not (math.isfinite(c1) and math.isfinite(c2)):
         raise ValueError("c1 and c2 must be finite")
@@ -303,25 +303,7 @@ def two_circle_right_angle_pair(c1: float = 2.0, c2: float = 3.0) -> RightAngleP
     squared = ProductExpr((straightened, straightened))
     f = MoebiusOf(MoebiusMap(1.0, -c1 * 1j, 1.0, c1 * 1j), squared)
     g = MoebiusOf(MoebiusMap(1.0, -c2 * 1j, 1.0, c2 * 1j), squared)
-
-    witness = max(
-        (
-            verify_equal_modulus(f, g, Circle(0.0, radius).sample_points(256))
-            for radius in (0.2, 0.45, 0.7)
-        ),
-        key=lambda rep: rep.max_deviation,
-    )
-    if witness.max_deviation <= 1e-3:
-        raise RuntimeError("failed to find a witness separating the pair")
-    return RightAnglePair(
-        f=f,
-        g=g,
-        circle1=circle1,
-        circle2=circle2,
-        base_angle=phi,
-        witness_point=witness.worst_point,
-        witness_deviation=witness.max_deviation,
-    )
+    return RightAnglePair(f=f, g=g, circle1=circle1, circle2=circle2, base_angle=phi)
 
 
 @dataclass(frozen=True)

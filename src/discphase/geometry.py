@@ -14,6 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Union
 
 import numpy as np
@@ -92,7 +93,7 @@ class MoebiusMap:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MoebiusMap":
-        return cls(*(complex(obj[k][0], obj[k][1]) for k in "abcd"))
+        return cls(*(complex(re, im) for re, im in (obj[k] for k in "abcd")))
 
 
 def disc_automorphism(omega: complex, alpha: complex) -> MoebiusMap:
@@ -311,32 +312,20 @@ def classify_pair(c1: Circle, c2: Circle) -> CircleConfig:
 def classify_angle(theta: float) -> AngleClass:
     """Decide numerically whether theta is a rational multiple of pi.
 
-    Expands theta/pi in a continued fraction and accepts the best
-    convergent with denominator <= 64 if it lies within 1e-9; otherwise
-    reports that convergent's denominator and residual as the evidence for
-    presumed irrationality.
+    Takes the closest fraction p/q to theta/pi with q <= 64 and accepts it
+    if it lies within 1e-9; otherwise reports its denominator and residual
+    as the evidence for presumed irrationality.  A fraction within
+    1e-9 < 1/(2 q^2) is a continued-fraction convergent, so the verdict is
+    that of the convergents.
     """
     if not 0.0 < theta <= math.pi + 1e-15:
         raise ValueError(f"theta must lie in (0, pi], got {theta!r}")
     x = theta / math.pi
-    # walk the convergents of the continued fraction of x; their errors
-    # decrease strictly, so the last one with denominator <= 64 is the best
-    h_prev, best_p = 1, int(x)
-    k_prev, best_q = 0, 1
-    frac = x - int(x)
-    for _ in range(64):
-        if frac < 1e-15:
-            break
-        a = int(1.0 / frac)
-        frac = 1.0 / frac - a
-        if a * best_q + k_prev > _MAX_DENOMINATOR:
-            break
-        best_p, h_prev = a * best_p + h_prev, best_p
-        best_q, k_prev = a * best_q + k_prev, best_q
-    best_err = abs(x - best_p / best_q)
-    if best_err <= 1e-9 and best_p > 0:
-        return RationalMultipleOfPi(p=best_p, q=best_q, residual=best_err)
-    return PresumedIrrational(best_q=best_q, best_residual=best_err)
+    best = Fraction(x).limit_denominator(_MAX_DENOMINATOR)
+    best_err = abs(x - best.numerator / best.denominator)
+    if best_err <= 1e-9 and best.numerator > 0:
+        return RationalMultipleOfPi(p=best.numerator, q=best.denominator, residual=best_err)
+    return PresumedIrrational(best_q=best.denominator, best_residual=best_err)
 
 
 def inverse_point(z: complex, c: Circle) -> complex:

@@ -59,7 +59,7 @@ class BoundaryModulus(ModulusData):
     to an outer factor builds one of these, so every route applies the rule.
     """
 
-    __slots__ = ("_log",)
+    __slots__ = ()
 
     def __init__(self, values):
         moduli = np.asarray(values, dtype=float).ravel()
@@ -77,7 +77,6 @@ class BoundaryModulus(ModulusData):
         self.circle = UNIT_CIRCLE
         self.points = UNIT_CIRCLE.sample_points(len(moduli))
         self.moduli = moduli
-        self._log = np.log(moduli)
 
     @property
     def n(self) -> int:
@@ -108,7 +107,7 @@ class OuterFunction:
     def __init__(self, boundary: BoundaryModulus):
         self.boundary = boundary
         n = boundary.n
-        c = np.fft.fft(boundary._log) / n
+        c = np.fft.fft(np.log(boundary.moduli)) / n
         self._c0 = float(c[0].real)
         size = math.isqrt(n) + 1  # B = ceil(sqrt(n + 1))
         coeffs = np.zeros(-(-(n + 1) // size) * size, dtype=complex)

@@ -24,6 +24,7 @@ cross-checks that the difference polynomial vanishes.
 
 from __future__ import annotations
 
+import operator
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
@@ -67,14 +68,23 @@ def _check_tolerance(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _check_degree(name: str, value) -> None:
+    # a degree counts zeros and sizes the design: nan, 2.5 and inf are no degree
+    try:
+        ok = operator.index(value) >= 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RetrievalConfig:
     degree_max: int = 8
     residual_tol: float = 1e-7
 
     def __post_init__(self):
-        if self.degree_max < 0:
-            raise ValueError("degree_max must be >= 0")
+        _check_degree("degree_max", self.degree_max)
         _check_tolerance("residual_tol", self.residual_tol)
 
 
@@ -117,6 +127,7 @@ def fit_modulus_rational(data: ModulusData, degree: int) -> ModulusFit:
     design is reduced to its triangular QR factor first, whose SVD has the
     same singular values and right vectors with no m x k left factor.
     """
+    _check_degree("degree", degree)
     r = data.circle.radius
     if abs(data.circle.center) > 1e-12:
         raise ValueError("modulus fit requires a circle centred at 0")
@@ -173,17 +184,14 @@ def _recover(data: ModulusData, degree: int, residual_tol: float) -> tuple[Blasc
     return b, residual
 
 
-def _search_degree(
-    data: ModulusData, config: RetrievalConfig
-) -> tuple[int, BlaschkeProduct, float]:
+def _search_degree(data: ModulusData, config: RetrievalConfig) -> tuple[BlaschkeProduct, float]:
     # floored at 0 so that too few samples fail in degree 0's fit, not with
     # an empty failure list
     cap = max(0, min(config.degree_max, (len(data) - 2) // 4))
     failures: list[str] = []
     for degree in range(cap + 1):
         try:
-            b, residual = _recover(data, degree, config.residual_tol)
-            return degree, b, residual
+            return _recover(data, degree, config.residual_tol)
         except (ResidualTooLarge, PoleAmbiguity, NonConvergence) as exc:
             failures.append(f"degree {degree}: {exc}")
         except np.linalg.LinAlgError as exc:
@@ -220,8 +228,12 @@ class RetrievalResult:
     outer: OuterFunction
     residual_T: float
     residual_rT: float
-    degree_used: int
     diagnostics: RetrievalDiagnostics
+
+    @property
+    def degree_used(self) -> int:
+        """The number of recovered zeros."""
+        return self.blaschke.degree
 
     def __call__(self, z):
         return self.blaschke(z) * self.outer(z)
@@ -300,7 +312,7 @@ def retrieve_two_circles(
         inner_data = ModulusData(circle_r, data_inner.points, inner_moduli)
 
     with _stage("degree_search"):
-        degree, b, forward_residual = _search_degree(inner_data, config)
+        b, forward_residual = _search_degree(inner_data, config)
 
     with _stage("assemble"):
         # max modulus errors of B * u on the unit-circle grid and the inner
@@ -331,7 +343,6 @@ def retrieve_two_circles(
         outer=outer,
         residual_T=residual_t,
         residual_rT=residual_rt,
-        degree_used=degree,
         diagnostics=diagnostics,
     )
 

@@ -352,3 +352,18 @@ def test_blaschke_json_roundtrip():
     back = BlaschkeProduct.from_json(b.to_json())
     assert back.constant == pytest.approx(b.constant)
     assert back.zeros == b.zeros
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: BlaschkeProduct.from_json({"type": "poly"}), "not a blaschke descriptor"),
+        (lambda: ModulusSamples([0.0, 1.0], [1.0]), "points and moduli must have equal length"),
+        (lambda: align_constant([1.0, 2.0], [1.0]), "sample vectors must be nonempty and of equal length"),
+        (lambda: ExplicitPoints(()), "point set is empty"),
+    ],
+    ids=["blaschke-type", "sample-lengths", "align-lengths", "explicit-empty"],
+)
+def test_blaschke_input_validation(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -391,6 +391,8 @@ def test_verify_accepts_moebius_dilation(capsys, tmp_path):
         ["verify", "--f", "{int_factors}", "--g", "{b3}", "--set", "circle:0,0,0.5"],
         ["verify", "--f", "{infinite_power}", "--g", "{b3}", "--set", "circle:0,0,0.5"],
         ["verify", "--f", "{deep}", "--g", "{b3}", "--set", "circle:0,0,0.5"],
+        ["verify", "--f", "{three_constant}", "--g", "{b3}", "--set", "circle:0,0,0.5"],
+        ["verify", "--f", "{three_moebius}", "--g", "{b3}", "--set", "circle:0,0,0.5"],
         ["sample", "--f", "{b1}", "--circle", "0,0,0.5", "--n", "32", "--out", "{no_dir}/x.csv"],
         ["retrieve", "--boundary", "{boundary}", "--inner", "{inner}", "--r", "0.5",
          "--out", "{no_dir}/r.json"],
@@ -398,7 +400,7 @@ def test_verify_accepts_moebius_dilation(capsys, tmp_path):
     ids=[
         "certify-list", "verify-list", "certify-no-fields", "certify-int-zeros",
         "verify-int-zeros", "verify-int-factors", "verify-infinite-power", "verify-deep",
-        "sample-out-dir", "retrieve-out-dir",
+        "verify-three-number-constant", "verify-three-number-moebius", "sample-out-dir", "retrieve-out-dir",
     ],
 )
 def test_malformed_descriptors_and_paths_are_invalid_input(
@@ -413,6 +415,9 @@ def test_malformed_descriptors_and_paths_are_invalid_input(
         "int_factors": json.dumps({"type": "product", "factors": 7}),
         "infinite_power": json.dumps({"type": "power_composite", "k": math.inf, "inner": inner}),
         "deep": "[" * 100_000,  # nested past the recursion limit
+        # an [re, im] pair holds exactly two numbers, wherever it appears
+        "three_constant": json.dumps({"type": "blaschke", "constant": [1.0, 0.0, 99], "zeros": []}),
+        "three_moebius": _MOEBIUS_OF.replace("A", "[1, 0, 5]"),
     }
     paths = {"no_dir": tmp_path / "missing", **blaschke_files}
     for name, text in descriptors.items():
@@ -424,9 +429,11 @@ def test_malformed_descriptors_and_paths_are_invalid_input(
               "--out", str(paths[name])])
     capsys.readouterr()
     code = main([a.format(**paths) for a in args])
-    rep = _strict_json(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    rep = _strict_json(captured.out)
     assert code == 2
     assert rep["status"] == "invalid-input"
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -184,10 +185,10 @@ def test_right_angle_pair_equal_modulus_on_both_circles():
 
 def test_right_angle_pair_witness():
     built = two_circle_right_angle_pair()
-    assert built.witness_deviation > 1e-3
-    assert abs(abs(built.f(built.witness_point)) - abs(built.g(built.witness_point))) == pytest.approx(
-        built.witness_deviation
-    )
+    witness = verify_equal_modulus(built.f, built.g, Circle(0.0, 0.45).sample_points(512))
+    assert witness.max_deviation > 1e-3
+    point = witness.worst_point
+    assert abs(abs(built.f(point)) - abs(built.g(point))) == pytest.approx(witness.max_deviation)
 
 
 # ------------------------------------------------------------------ strip map
@@ -286,3 +287,24 @@ def test_function_expr_depth_cap():
 def test_function_expr_unknown_type():
     with pytest.raises(ValueError, match="unknown"):
         function_expr_from_json({"type": "mystery"})
+
+
+_HALF_TURN = RationalFunction(Polynomial([-1j, 1.0]), Polynomial([1j, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: PowerComposite(0, _HALF_TURN), "power must be >= 1"),
+        (lambda: ProductExpr(()), "product needs at least one factor"),
+        (
+            lambda: reduce(lambda e, _: ProductExpr((e,)), range(8), BlaschkeProduct(1.0, ())),
+            "composition depth 9 exceeds 8",
+        ),
+        (lambda: rational_angle_pair(3, -1.0, 2.0), "c1 and c2 must be positive"),
+    ],
+    ids=["power", "empty-product", "product-depth", "angle-pair-sign"],
+)
+def test_counterexample_input_validation(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -266,14 +266,29 @@ def test_classify_angle_half_pi():
 
 
 def test_classify_angle_presumed_irrational_with_bruteforce_oracle():
-    theta = math.pi * (SQRT2 - 1.0)
-    x = theta / math.pi
-    # oracle: no fraction with denominator <= 64 approximates within 1e-9
-    best = min(abs(x - round(x * q) / q) for q in range(1, 65))
-    assert best > 1e-9
-    ac = classify_angle(theta)
-    assert isinstance(ac, PresumedIrrational)
-    assert ac.best_residual > 1e-9
+    # the closest fraction can be a semiconvergent: for 2.25 it is q = 60,
+    # not the last convergent q = 7
+    for theta in (math.pi * (SQRT2 - 1.0), 2.25, 1.85, 0.85, 1.46):
+        x = theta / math.pi
+        # oracle: no fraction with denominator <= 64 approximates within 1e-9
+        best = min(abs(x - round(x * q) / q) for q in range(1, 65))
+        assert best > 1e-9
+        ac = classify_angle(theta)
+        assert isinstance(ac, PresumedIrrational)
+        assert ac.best_residual == best, theta
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Line(0.0, 0.0), "line direction must be nonzero"),
+        (lambda: Circle(0.0, 0.0), "radius must be positive"),
+    ],
+    ids=["line-direction", "circle-radius"],
+)
+def test_geometry_input_validation(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_classify_angle_near_rational_within_tolerance():

@@ -344,3 +344,17 @@ def test_sign_change_count_bounded_by_degree_bound():
         b2 = random_blaschke(rng, n_deg)
         r = float(rng.choice([0.3, 0.5, 0.8]))
         assert _grid_sign_changes(b1, b2, r) <= 2 * m_deg + 2 * n_deg - 1
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Polynomial.from_json({"type": "rational"}), "not a poly descriptor"),
+        (lambda: RationalFunction.from_json({"type": "poly"}), "not a rational descriptor"),
+        (lambda: build_modulus_product(BlaschkeProduct(1.0, (0.3,)), 1.0), r"r must lie in \(0, 1\)"),
+    ],
+    ids=["poly-type", "rational-type", "product-radius"],
+)
+def test_rational_input_validation(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

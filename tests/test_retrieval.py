@@ -233,6 +233,52 @@ def test_retrieval_config_requires_finite_positive_tolerances(field, value):
         RetrievalConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, 2.0, -1])
+@pytest.mark.parametrize("field", ["degree_max"])
+def test_retrieval_config_requires_integer_degree(field, value):
+    # nan would let the search try degree 0 only, and inf would reach to_json as Infinity
+    with pytest.raises(ValueError, match="degree_max must be an integer >= 0"):
+        RetrievalConfig(**{field: value})
+
+
+@pytest.mark.parametrize("degree", [-1, 2.0, math.nan])
+def test_fit_modulus_rational_requires_integer_degree(degree):
+    data = sample_modulus(BlaschkeProduct(1.0, (0.3,)), Circle(0.0, 0.5), 64)
+    with pytest.raises(ValueError, match="degree must be an integer >= 0"):
+        fit_modulus_rational(data, degree)
+
+
+_ONE = RationalFunction(Polynomial([1.0]), Polynomial([1.0]))
+
+
+def _circle_data(circle, n=16):
+    return ModulusData(circle, circle.sample_points(n), np.ones(n))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: fit_modulus_rational(_circle_data(Circle(0.1, 0.5)), 0),
+         "modulus fit requires a circle centred at 0"),
+        (lambda: retrieve_two_circles(_unit_boundary(16), _circle_data(Circle(0.1, 0.5))),
+         "inner-circle data must be centred at 0"),
+        (lambda: retrieve_two_circles(_unit_boundary(16), _circle_data(Circle(0.0, 1.5))),
+         r"inner radius must lie in \(0, 1\)"),
+        (lambda: certify_finite_points(BlaschkeProduct(1.0, ()), BlaschkeProduct(1.0, ()), []),
+         "empty point set"),
+        (lambda: certify_finite_points(
+            BlaschkeProduct(1.0, ()), BlaschkeProduct(1.0, ()), Circle(0.0, 1.5).sample_points(8)),
+         r"certification circle radius must lie in \(0, 1\)"),
+        (lambda: parametrize_pair(_ONE, _ONE, 1.0), r"r must lie in \(0, 1\)"),
+    ],
+    ids=["fit-centre", "inner-centre", "inner-radius", "certify-empty", "certify-radius",
+         "parametrize-radius"],
+)
+def test_retrieval_input_validation(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # ------------------------------------------------------------ two-circle solve
 
 
