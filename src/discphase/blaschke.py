@@ -71,20 +71,6 @@ class BlaschkeProduct:
     def with_constant(self, constant: complex) -> "BlaschkeProduct":
         return BlaschkeProduct(constant, self.zeros)
 
-    def to_json(self) -> dict:
-        return {
-            "type": "blaschke",
-            "constant": [self.constant.real, self.constant.imag],
-            "zeros": [[a.real, a.imag] for a in self.zeros],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BlaschkeProduct":
-        if obj.get("type") != "blaschke":
-            raise ValueError(f"not a blaschke descriptor: {obj.get('type')!r}")
-        re, im = obj["constant"]
-        return cls(complex(re, im), tuple(complex(re, im) for re, im in obj["zeros"]))
-
 
 #: explicit points closer than this to an earlier kept point are dropped
 _DEDUP_TOL = 1e-12

@@ -71,7 +71,7 @@ _STATUS = {
 
 #: exceptions that mean the input was bad; any other DiscPhaseError is a
 #: numerical failure (exit 3) and anything else a bug (exit 4)
-_INPUT_ERRORS = (ValueError, KeyError, OSError, IdenticalCircles)
+_INPUT_ERRORS = (ValueError, OSError, IdenticalCircles)
 
 
 def _emit(report: dict, code: int) -> int:
@@ -100,19 +100,16 @@ def _parse_circle(text: str) -> Circle:
 
 
 def _load_expr(path: str, only: str | None = None):
-    """The function descriptor in the JSON file ``path``; ``only`` pins its type.
-
-    A descriptor of the wrong shape (a list, ``"zeros": 5``, ``"k": Infinity``,
-    or nested past the recursion limit) raises ValueError: it is bad input.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    """The function descriptor in the JSON file ``path``; ``only`` pins its type."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
             obj = json.load(fh)
-        if only is not None and obj.get("type") != only:
-            raise ValueError(f"{path}: descriptor type {obj.get('type')!r} is not {only!r}")
-        return function_expr_from_json(obj)
-    except (AttributeError, TypeError, IndexError, OverflowError, RecursionError) as exc:
-        raise ValueError(f"{path}: malformed descriptor ({exc})") from exc
+            expr = function_expr_from_json(obj)
+        except (ValueError, RecursionError) as exc:  # bad JSON, or nested past the limit
+            raise ValueError(f"{path}: {exc}") from exc
+    if only is not None and obj["type"] != only:
+        raise ValueError(f"{path}: descriptor type {obj['type']!r} is not {only!r}")
+    return expr
 
 
 def _angle_class_json(ac) -> dict:

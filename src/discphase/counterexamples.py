@@ -1,9 +1,11 @@
 """Explicit function families with equal moduli on lines, circles, or finite sets.
 
-Each generator builds declarative, serializable function expressions (not
-closures).  ``rational_angle_pair``, ``perpendicular_lines_pair`` and
-``finite_set_pair`` return the pair (f, g); ``two_circle_right_angle_pair``
-returns the pair together with the two circles on which the moduli agree;
+Each generator builds declarative function expressions (not closures);
+this module owns their JSON descriptor format, with ``function_expr_to_json``
+its one encoder and ``function_expr_from_json`` its one decoder.
+``rational_angle_pair``, ``perpendicular_lines_pair`` and ``finite_set_pair``
+return the pair (f, g); ``two_circle_right_angle_pair`` returns the pair
+together with the two circles on which the moduli agree;
 ``inverse_points_demo`` returns the moduli of one quotient on two circles.
 No generator returns a witness point: a caller that wants one evaluates
 the pair off the advertised set (``verify_equal_modulus``).  These families
@@ -15,6 +17,7 @@ finite set, does not force equality of functions.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import asdict, dataclass
 from typing import Union
 
@@ -58,8 +61,8 @@ class PowerComposite:
     inner: RationalFunction
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("power must be >= 1")
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)) or self.k < 1:
+            raise ValueError(f"power must be >= 1 and an integer, got k = {self.k!r}")
 
     def __call__(self, z):
         zz = np.asarray(z, dtype=complex)
@@ -146,46 +149,77 @@ def expression_depth(expr) -> int:
     return 1
 
 
+#: descriptor type -> (class, {field: kind}); each field is an attribute and a
+#: constructor argument of the class.  Kinds: "pair" ([re, im]), "map" (a-d as
+#: pairs), "int", "expr" (any descriptor), a pinned descriptor type, or a plural list.
+_FORMAT = {
+    "blaschke": (BlaschkeProduct, {"constant": "pair", "zeros": "pairs"}),
+    "poly": (Polynomial, {"coeffs": "pairs"}),
+    "rational": (RationalFunction, {"num": "poly", "den": "poly"}),
+    "moebius_of": (MoebiusOf, {"map": "map", "inner": "expr"}),
+    "power_composite": (PowerComposite, {"k": "int", "inner": "rational"}),
+    "strip": (StripMap, {}),
+    "product": (ProductExpr, {"factors": "exprs"}),
+}
+
+
 def function_expr_to_json(expr) -> dict:
-    if isinstance(expr, (BlaschkeProduct, Polynomial, RationalFunction)):
-        return expr.to_json()
-    if isinstance(expr, MoebiusOf):
-        return {
-            "type": "moebius_of",
-            "map": expr.map.to_json(),
-            "inner": function_expr_to_json(expr.inner),
-        }
-    if isinstance(expr, PowerComposite):
-        return {"type": "power_composite", "k": expr.k, "inner": expr.inner.to_json()}
-    if isinstance(expr, StripMap):
-        return {"type": "strip"}
-    if isinstance(expr, ProductExpr):
-        return {
-            "type": "product",
-            "factors": [function_expr_to_json(f) for f in expr.factors],
-        }
+    for t, (cls, fields) in _FORMAT.items():
+        if isinstance(expr, cls):
+            return {"type": t, **{key: _encode(getattr(expr, key), f) for key, f in fields.items()}}
     raise TypeError(f"not a function expression: {type(expr).__name__}")
 
 
+def _encode(value, kind: str):
+    if kind == "pair":
+        return [float(value.real), float(value.imag)]
+    if kind in ("pairs", "exprs"):
+        return [_encode(v, kind[:-1]) for v in value]
+    if kind == "map":
+        return {k: _encode(getattr(value, k), "pair") for k in "abcd"}
+    return int(value) if kind == "int" else function_expr_to_json(value)
+
+
 def function_expr_from_json(obj: dict):
-    kind = obj.get("type")
-    if kind == "blaschke":
-        return BlaschkeProduct.from_json(obj)
-    if kind == "poly":
-        return Polynomial.from_json(obj)
-    if kind == "rational":
-        return RationalFunction.from_json(obj)
-    if kind == "moebius_of":
-        return MoebiusOf(
-            MoebiusMap.from_json(obj["map"]), function_expr_from_json(obj["inner"])
-        )
-    if kind == "power_composite":
-        return PowerComposite(int(obj["k"]), RationalFunction.from_json(obj["inner"]))
-    if kind == "strip":
-        return StripMap()
-    if kind == "product":
-        return ProductExpr(tuple(function_expr_from_json(f) for f in obj["factors"]))
-    raise ValueError(f"unknown function expression type: {kind!r}")
+    """The expression of a descriptor; a malformed one raises ValueError naming the field."""
+    return _decode(obj, "expr", "", 1)
+
+
+def _decode(value, kind: str, path: str, depth: int):
+    """The field ``value`` found at ``path``, ``depth`` objects deep, read as ``kind``."""
+    where = f"{path}: " if path else ""
+    if kind == "pair":
+        with suppress(TypeError, OverflowError):  # not numbers, or beyond the float range
+            if isinstance(value, list) and len(value) == 2 and bool not in map(type, value):
+                return complex(*value)
+        raise ValueError(f"{where}expected an [re, im] pair of numbers, got {value!r}")
+    if kind in ("pairs", "exprs"):
+        if not isinstance(value, list):
+            raise ValueError(f"{where}expected a list, got {type(value).__name__}")
+        return tuple(_decode(v, kind[:-1], f"{path}[{i}]", depth) for i, v in enumerate(value))
+    if kind == "int":
+        return value
+    if not isinstance(value, dict):
+        raise ValueError(f"{where}expected a JSON object, got {type(value).__name__}")
+    t = value.get("type")
+    if kind == "map":
+        make, fields = MoebiusMap, dict.fromkeys("abcd", "pair")
+    elif depth > _MAX_DEPTH + 1:  # the polynomials of a rational function sit one below the cap
+        raise ValueError(f"{where}composition depth exceeds {_MAX_DEPTH}")
+    elif kind not in ("expr", t):
+        raise ValueError(f"{where}expected a {kind!r} descriptor, got type {t!r}")
+    elif t not in tuple(_FORMAT):  # compares, so an unhashable type is unknown too
+        raise ValueError(f"{where}unknown function expression type: {t!r}")
+    else:
+        make, fields = _FORMAT[t]
+    prefix = f"{path}." if path else ""
+    if missing := [key for key in fields if key not in value]:
+        raise ValueError(f"{prefix}{missing[0]}: missing field")
+    args = [_decode(value[key], f, prefix + key, depth + 1) for key, f in fields.items()]
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"{where}{exc}") from exc
 
 
 def _half_turn_moebius(c: float) -> RationalFunction:

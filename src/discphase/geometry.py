@@ -83,18 +83,6 @@ class MoebiusMap:
             return None
         return -self.d / self.c
 
-    def to_json(self) -> dict:
-        return {
-            "a": [self.a.real, self.a.imag],
-            "b": [self.b.real, self.b.imag],
-            "c": [self.c.real, self.c.imag],
-            "d": [self.d.real, self.d.imag],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "MoebiusMap":
-        return cls(*(complex(re, im) for re, im in (obj[k] for k in "abcd")))
-
 
 def disc_automorphism(omega: complex, alpha: complex) -> MoebiusMap:
     """The disc automorphism z -> omega * (alpha - z) / (1 - conj(alpha) z).

@@ -81,15 +81,6 @@ class Polynomial:
             c = np.convolve(c, np.array([-complex(r), 1.0]))
         return cls(c)
 
-    def to_json(self) -> dict:
-        return {"type": "poly", "coeffs": [[c.real, c.imag] for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Polynomial":
-        if obj.get("type") != "poly":
-            raise ValueError(f"not a poly descriptor: {obj.get('type')!r}")
-        return cls([complex(re, im) for re, im in obj["coeffs"]])
-
 
 class RationalFunction:
     """Quotient of two ``Polynomial``s; the denominator must not vanish identically."""
@@ -133,15 +124,6 @@ class RationalFunction:
         if len(kept_z) < len(zs):
             logger.info("cancelling %d zero/pole pair(s) within 1e-10", len(zs) - len(kept_z))
         return cls(Polynomial.from_roots(kept_z), Polynomial.from_roots(ps))
-
-    def to_json(self) -> dict:
-        return {"type": "rational", "num": self.num.to_json(), "den": self.den.to_json()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RationalFunction":
-        if obj.get("type") != "rational":
-            raise ValueError(f"not a rational descriptor: {obj.get('type')!r}")
-        return cls(Polynomial.from_json(obj["num"]), Polynomial.from_json(obj["den"]))
 
 
 def _newton_polish(coeffs: np.ndarray, roots: np.ndarray, sweeps: int = 3) -> np.ndarray:

@@ -38,6 +38,7 @@ from .blaschke import (
     dedup_indices,
     modulus_samples,
 )
+from .counterexamples import function_expr_to_json
 from .errors import (
     DegreeCapExceeded,
     DiscPhaseError,
@@ -248,7 +249,7 @@ class RetrievalResult:
                 "values": [float(v) for v in self.outer.boundary.moduli],
             }
         return {
-            "blaschke": self.blaschke.to_json(),
+            "blaschke": function_expr_to_json(self.blaschke),
             "outer_boundary": outer_ref,
             "residual_T": self.residual_T,
             "residual_rT": self.residual_rT,

@@ -122,9 +122,10 @@ def test_sample_then_retrieve_roundtrip(capsys, tmp_path, product_descriptor):
         BoundaryModulus,
         OuterFunction,
         align_constant,
+        function_expr_from_json,
     )
 
-    recovered_b = BlaschkeProduct.from_json(rep["blaschke"])
+    recovered_b = function_expr_from_json(rep["blaschke"])
     recovered_u = OuterFunction(BoundaryModulus.from_csv(outer_csv))
     rng = np.random.default_rng(2)
     grid = 0.9 * np.sqrt(rng.uniform(size=100)) * np.exp(
@@ -393,6 +394,9 @@ def test_verify_accepts_moebius_dilation(capsys, tmp_path):
         ["verify", "--f", "{deep}", "--g", "{b3}", "--set", "circle:0,0,0.5"],
         ["verify", "--f", "{three_constant}", "--g", "{b3}", "--set", "circle:0,0,0.5"],
         ["verify", "--f", "{three_moebius}", "--g", "{b3}", "--set", "circle:0,0,0.5"],
+        ["verify", "--f", "{float_power}", "--g", "{b3}", "--set", "circle:0,0,0.5"],
+        ["verify", "--f", "{string_power}", "--g", "{b3}", "--set", "circle:0,0,0.5"],
+        ["verify", "--f", "{bool_power}", "--g", "{b3}", "--set", "circle:0,0,0.5"],
         ["sample", "--f", "{b1}", "--circle", "0,0,0.5", "--n", "32", "--out", "{no_dir}/x.csv"],
         ["retrieve", "--boundary", "{boundary}", "--inner", "{inner}", "--r", "0.5",
          "--out", "{no_dir}/r.json"],
@@ -400,7 +404,8 @@ def test_verify_accepts_moebius_dilation(capsys, tmp_path):
     ids=[
         "certify-list", "verify-list", "certify-no-fields", "certify-int-zeros",
         "verify-int-zeros", "verify-int-factors", "verify-infinite-power", "verify-deep",
-        "verify-three-number-constant", "verify-three-number-moebius", "sample-out-dir", "retrieve-out-dir",
+        "verify-three-number-constant", "verify-three-number-moebius", "verify-float-power",
+        "verify-string-power", "verify-bool-power", "sample-out-dir", "retrieve-out-dir",
     ],
 )
 def test_malformed_descriptors_and_paths_are_invalid_input(
@@ -418,6 +423,10 @@ def test_malformed_descriptors_and_paths_are_invalid_input(
         # an [re, im] pair holds exactly two numbers, wherever it appears
         "three_constant": json.dumps({"type": "blaschke", "constant": [1.0, 0.0, 99], "zeros": []}),
         "three_moebius": _MOEBIUS_OF.replace("A", "[1, 0, 5]"),
+        # the power k is an integer >= 1: neither rounded nor read from a string or bool
+        "float_power": json.dumps({"type": "power_composite", "k": 2.7, "inner": inner}),
+        "string_power": json.dumps({"type": "power_composite", "k": "2", "inner": inner}),
+        "bool_power": json.dumps({"type": "power_composite", "k": True, "inner": inner}),
     }
     paths = {"no_dir": tmp_path / "missing", **blaschke_files}
     for name, text in descriptors.items():
@@ -434,6 +443,34 @@ def test_malformed_descriptors_and_paths_are_invalid_input(
     assert code == 2
     assert rep["status"] == "invalid-input"
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "descriptor, message",
+    [
+        (
+            {"type": "blaschke", "constant": [1, 0], "zeros": [[0.1, 0.2, 0.3]]},
+            "zeros[0]: expected an [re, im] pair of numbers, got [0.1, 0.2, 0.3]",
+        ),
+        ({"type": "blaschke", "constant": [1, 0]}, "zeros: missing field"),
+        (
+            {"type": "rational", "num": {"type": "poly", "coeffs": [[1, 0]]},
+             "den": {"type": "blaschke", "constant": [1, 0], "zeros": []}},
+            "den: expected a 'poly' descriptor, got type 'blaschke'",
+        ),
+    ],
+    ids=["three-number-zero", "no-zeros", "blaschke-den"],
+)
+def test_malformed_descriptor_error_names_file_and_field(
+    capsys, tmp_path, blaschke_files, descriptor, message
+):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(descriptor))
+    for command in (["verify", "--set", "circle:0,0,0.5"], ["certify", "--r", "0.5", "--points", "16"]):
+        code, rep, err = run_cli(capsys, *command, "--f", str(path), "--g", blaschke_files["b3"])
+        assert code == 2
+        assert rep["error"] == f"{path}: {message}"
+        assert err == f"error: {path}: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
+import json
 import math
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from discphase import (
     two_circle_right_angle_pair,
     verify_equal_modulus,
 )
+from discphase.counterexamples import expression_depth
 from discphase.rational import Polynomial
 
 SQRT2 = math.sqrt(2.0)
@@ -258,20 +261,65 @@ def test_inverse_points_demo_report():
 
 
 def test_function_expr_json_roundtrip_all_variants():
-    b = BlaschkeProduct(1.0, (0.3,))
-    rational = RationalFunction(Polynomial([1.0, 0.5]), Polynomial([1.0]))
+    b = BlaschkeProduct(np.exp(0.3j), (0.1, -0.2j))
+    poly = Polynomial([1.0 + 2j, 0.5])
+    rational = RationalFunction(Polynomial([1.0, 2.0]), Polynomial([1.0, 0.0, 1.0]))
     exprs = [
         b,
+        poly,
         rational,
         MoebiusOf(MoebiusMap(1.0, 0.2, 0.0, 1.0), b),
         PowerComposite(3, rational),
         StripMap(),
-        ProductExpr((b, rational)),
+        ProductExpr((b, rational, poly)),
     ]
-    z = 0.3 + 0.2j
+    z = np.array([0.3 + 0.2j, -0.1j, 0.05 - 0.4j])
     for expr in exprs:
-        back = function_expr_from_json(function_expr_to_json(expr))
-        assert back(z) == pytest.approx(expr(z))
+        descriptor = function_expr_to_json(expr)
+        back = function_expr_from_json(descriptor)
+        assert type(back) is type(expr)
+        assert function_expr_to_json(back) == descriptor
+        assert np.array_equal(back(z), expr(z))
+    assert function_expr_from_json(function_expr_to_json(b)).zeros == b.zeros
+
+
+def test_function_expr_to_json_writes_plain_json():
+    rational = RationalFunction(Polynomial([1.0, 2.0]), Polynomial([1.0, 0.0, 1.0]))
+    descriptor = function_expr_to_json(PowerComposite(np.int64(2), rational))
+    assert json.loads(json.dumps(descriptor)) == descriptor
+    assert type(descriptor["k"]) is int
+    assert type(descriptor["inner"]["num"]["coeffs"][0][0]) is float
+
+
+def _readme_descriptors():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    body = "\n".join(line for line in block.splitlines() if not line.lstrip().startswith("//"))
+    objs, rest = [], body.strip()
+    while rest:
+        obj, end = json.JSONDecoder().raw_decode(rest)
+        objs.append(obj)
+        rest = rest[end:].lstrip()
+    return objs
+
+
+def test_readme_descriptors_decode_and_reencode():
+    objs = _readme_descriptors()
+    assert [o["type"] for o in objs] == [
+        "blaschke", "poly", "rational", "moebius_of", "power_composite", "strip", "product",
+    ]
+    z = np.array([0.1 + 0.2j, -0.3 + 0.1j, 0.25j])
+    for obj in objs:
+        expr = function_expr_from_json(obj)
+        once = function_expr_to_json(expr)
+        again = function_expr_from_json(once)
+        assert function_expr_to_json(again) == once
+        assert np.allclose(again(z), expr(z), rtol=1e-15, atol=0)
+        if obj["type"] == "moebius_of":
+            # the map is rescaled so its largest coefficient has modulus 1
+            assert once["map"]["b"] == [0.0, -1.0]
+        else:
+            assert once == obj
 
 
 def test_function_expr_depth_cap():
@@ -289,6 +337,77 @@ def test_function_expr_unknown_type():
         function_expr_from_json({"type": "mystery"})
 
 
+_POLY = {"type": "poly", "coeffs": [[1, 0]]}
+_ONE = {"type": "blaschke", "constant": [1, 0], "zeros": []}
+_QUOTIENT = {"type": "rational", "num": _POLY, "den": {"type": "poly", "coeffs": [[2, 0]]}}
+_IDENTITY_MAP = {"a": [1, 0], "b": [0, 0], "c": [0, 0], "d": [1, 0]}
+
+
+def _nest(depth, leaf):
+    for _ in range(depth - 1):
+        leaf = {"type": "moebius_of", "map": _IDENTITY_MAP, "inner": leaf}
+    return leaf
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([1, 2], "expected a JSON object, got list"),
+        ({"constant": [1, 0]}, "unknown function expression type: None"),
+        ({"type": "blaschke", "constant": [1, 0]}, "zeros: missing field"),
+        ({"type": "blaschke", "constant": [1, 0], "zeros": 5}, "zeros: expected a list, got int"),
+        (
+            {"type": "blaschke", "constant": [1, 0], "zeros": [[0.1, 0.2, 0.3]]},
+            r"zeros\[0\]: expected an \[re, im\] pair of numbers, got \[0.1, 0.2, 0.3\]",
+        ),
+        ({"type": "blaschke", "constant": [1, True], "zeros": []}, r"constant: expected an \[re, im\]"),
+        ({"type": "blaschke", "constant": ["1", 0], "zeros": []}, r"constant: expected an \[re, im\]"),
+        ({"type": "poly", "coeffs": [[10**400, 0]]}, r"coeffs\[0\]: expected an \[re, im\]"),
+        ({"type": "rational", "num": _POLY, "den": _ONE}, "den: expected a 'poly' descriptor, got type 'blaschke'"),
+        ({"type": "rational", "num": _ONE, "den": _POLY}, "num: expected a 'poly' descriptor, got type 'blaschke'"),
+        (
+            {"type": "power_composite", "k": 2, "inner": _POLY},
+            "inner: expected a 'rational' descriptor, got type 'poly'",
+        ),
+        ({"type": "moebius_of", "map": 5, "inner": _ONE}, "map: expected a JSON object, got int"),
+        ({"type": "moebius_of", "map": {"a": [1, 0]}, "inner": _ONE}, "map.b: missing field"),
+        (
+            {"type": "moebius_of", "map": {**_IDENTITY_MAP, "a": [0, 0]}, "inner": _ONE},
+            r"map: Moebius map is degenerate",
+        ),
+        ({"type": "product", "factors": [_ONE, {"type": "mystery"}]}, r"factors\[1\]: unknown"),
+        (
+            {"type": "product", "factors": [{**_ONE, "constant": [2, 0]}]},
+            r"factors\[0\]: constant must be unimodular",
+        ),
+        ({"type": "product", "factors": []}, "product needs at least one factor"),
+        (_nest(9, _ONE), "^composition depth 9 exceeds 8$"),
+        # reading stops a level below the cap, long before the recursion limit
+        (_nest(300, _ONE), r"^inner(\.inner){8}: composition depth exceeds 8$"),
+        ({"type": "power_composite", "k": 2.7, "inner": _QUOTIENT}, "got k = 2.7"),
+        ({"type": "power_composite", "k": "2", "inner": _QUOTIENT}, "got k = '2'"),
+        ({"type": "power_composite", "k": True, "inner": _QUOTIENT}, "got k = True"),
+    ],
+    ids=[
+        "not-object", "no-type", "no-zeros", "int-zeros", "three-number-zero", "bool-number",
+        "string-number", "huge-int", "den-type", "num-type", "power-inner-type", "map-not-object",
+        "map-missing-b", "map-degenerate", "nested-unknown", "nested-constant", "empty-product",
+        "depth-9", "depth-300", "float-k", "string-k", "bool-k",
+    ],
+)
+def test_function_expr_from_json_names_the_field(obj, message):
+    with pytest.raises(ValueError, match=message):
+        function_expr_from_json(obj)
+
+
+def test_function_expr_from_json_reads_the_deepest_compositions():
+    # 7 Moebius maps around a rational function, and 6 around a power composite
+    for depth, leaf in ((8, _QUOTIENT), (7, {"type": "power_composite", "k": 2, "inner": _QUOTIENT})):
+        expr = function_expr_from_json(_nest(depth, leaf))
+        assert expression_depth(expr) == 8
+        assert expr(0.5) == pytest.approx(0.5)
+
+
 _HALF_TURN = RationalFunction(Polynomial([-1j, 1.0]), Polynomial([1j, 1.0]))
 
 
@@ -296,6 +415,8 @@ _HALF_TURN = RationalFunction(Polynomial([-1j, 1.0]), Polynomial([1j, 1.0]))
     "call, message",
     [
         (lambda: PowerComposite(0, _HALF_TURN), "power must be >= 1"),
+        (lambda: PowerComposite(2.5, _HALF_TURN), "power must be >= 1 and an integer, got k = 2.5"),
+        (lambda: PowerComposite(True, _HALF_TURN), "power must be >= 1 and an integer, got k = True"),
         (lambda: ProductExpr(()), "product needs at least one factor"),
         (
             lambda: reduce(lambda e, _: ProductExpr((e,)), range(8), BlaschkeProduct(1.0, ())),
@@ -303,7 +424,7 @@ _HALF_TURN = RationalFunction(Polynomial([-1j, 1.0]), Polynomial([1j, 1.0]))
         ),
         (lambda: rational_angle_pair(3, -1.0, 2.0), "c1 and c2 must be positive"),
     ],
-    ids=["power", "empty-product", "product-depth", "angle-pair-sign"],
+    ids=["power", "power-float", "power-bool", "empty-product", "product-depth", "angle-pair-sign"],
 )
 def test_counterexample_input_validation(call, message):
     with pytest.raises(ValueError, match=message):

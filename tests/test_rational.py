@@ -37,11 +37,6 @@ def test_polynomial_from_roots():
     assert p(0.0) == pytest.approx(-2.0)
 
 
-def test_polynomial_json_roundtrip():
-    p = Polynomial([1.0 + 2j, 0.5])
-    assert np.array_equal(Polynomial.from_json(p.to_json()).coeffs, p.coeffs)
-
-
 # ----------------------------------------------------------------- root finder
 
 
@@ -172,13 +167,6 @@ def test_rational_from_zeros_poles_cancellation(caplog):
     assert "cancelling" in caplog.text
     assert f.num.degree == 1 and f.den.degree == 1
     assert f(0.3) == pytest.approx(0.0)
-
-
-def test_rational_json_roundtrip():
-    f = RationalFunction(Polynomial([1.0, 2.0]), Polynomial([1.0, 0.0, 1.0]))
-    back = RationalFunction.from_json(f.to_json())
-    assert np.array_equal(back.num.coeffs, f.num.coeffs)
-    assert np.array_equal(back.den.coeffs, f.den.coeffs)
 
 
 # ------------------------------------------------------------ modulus products
@@ -349,11 +337,9 @@ def test_sign_change_count_bounded_by_degree_bound():
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: Polynomial.from_json({"type": "rational"}), "not a poly descriptor"),
-        (lambda: RationalFunction.from_json({"type": "poly"}), "not a rational descriptor"),
         (lambda: build_modulus_product(BlaschkeProduct(1.0, (0.3,)), 1.0), r"r must lie in \(0, 1\)"),
     ],
-    ids=["poly-type", "rational-type", "product-radius"],
+    ids=["product-radius"],
 )
 def test_rational_input_validation(call, message):
     with pytest.raises(ValueError, match=message):
