@@ -19,6 +19,8 @@ from discphase import (
     boundary_modulus_of,
     certify_finite_points,
     equal_up_to_unimodular,
+    function_expr_from_json,
+    function_expr_to_json,
     modulus_samples,
     perpendicular_lines_pair,
     sample_modulus,
@@ -345,6 +347,14 @@ def test_equal_up_to_unimodular_degree_mismatch():
         )
         is None
     )
+
+
+
+def test_blaschke_json_roundtrip():
+    b = BlaschkeProduct(np.exp(0.3j), (0.1, -0.2j))
+    back = function_expr_from_json(function_expr_to_json(b))
+    assert back.constant == pytest.approx(b.constant)
+    assert back.zeros == b.zeros
 
 
 @pytest.mark.parametrize(

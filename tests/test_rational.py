@@ -8,6 +8,8 @@ from discphase import (
     RationalFunction,
     build_modulus_product,
     equality_points_on_circle,
+    function_expr_from_json,
+    function_expr_to_json,
     modulus_equation,
     poly_roots,
 )
@@ -35,6 +37,11 @@ def test_polynomial_from_roots():
     p = Polynomial(2.0 * Polynomial.from_roots([1.0, -1.0]).coeffs)
     assert p(1.0) == pytest.approx(0.0)
     assert p(0.0) == pytest.approx(-2.0)
+
+
+def test_polynomial_json_roundtrip():
+    p = Polynomial([1.0 + 2j, 0.5])
+    assert np.array_equal(function_expr_from_json(function_expr_to_json(p)).coeffs, p.coeffs)
 
 
 # ----------------------------------------------------------------- root finder
@@ -167,6 +174,13 @@ def test_rational_from_zeros_poles_cancellation(caplog):
     assert "cancelling" in caplog.text
     assert f.num.degree == 1 and f.den.degree == 1
     assert f(0.3) == pytest.approx(0.0)
+
+
+def test_rational_json_roundtrip():
+    f = RationalFunction(Polynomial([1.0, 2.0]), Polynomial([1.0, 0.0, 1.0]))
+    back = function_expr_from_json(function_expr_to_json(f))
+    assert np.array_equal(back.num.coeffs, f.num.coeffs)
+    assert np.array_equal(back.den.coeffs, f.den.coeffs)
 
 
 # ------------------------------------------------------------ modulus products
