@@ -191,8 +191,10 @@ def _decode(value, kind: str, path: str, depth: int):
     if kind == "pair":
         with suppress(TypeError, OverflowError):  # not numbers, or beyond the float range
             if isinstance(value, list) and len(value) == 2 and bool not in map(type, value):
-                return complex(*value)
-        raise ValueError(f"{where}expected an [re, im] pair of numbers, got {value!r}")
+                z = complex(*value)
+                abs(z)  # a modulus beyond the float range raises OverflowError
+                return z
+        raise ValueError(f"{where}expected an [re, im] pair of finite modulus, got {value!r}")
     if kind in ("pairs", "exprs"):
         if not isinstance(value, list):
             raise ValueError(f"{where}expected a list, got {type(value).__name__}")

@@ -349,7 +349,6 @@ def test_equal_up_to_unimodular_degree_mismatch():
     )
 
 
-
 def test_blaschke_json_roundtrip():
     b = BlaschkeProduct(np.exp(0.3j), (0.1, -0.2j))
     back = function_expr_from_json(function_expr_to_json(b))

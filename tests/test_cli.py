@@ -397,6 +397,9 @@ def test_verify_accepts_moebius_dilation(capsys, tmp_path):
         ["verify", "--f", "{float_power}", "--g", "{b3}", "--set", "circle:0,0,0.5"],
         ["verify", "--f", "{string_power}", "--g", "{b3}", "--set", "circle:0,0,0.5"],
         ["verify", "--f", "{bool_power}", "--g", "{b3}", "--set", "circle:0,0,0.5"],
+        ["certify", "--f", "{huge_constant}", "--g", "{b3}", "--r", "0.5", "--points", "16"],
+        ["verify", "--f", "{huge_zero}", "--g", "{b3}", "--set", "circle:0,0,0.5"],
+        ["sample", "--f", "{huge_coeff}", "--circle", "0,0,0.5", "--n", "8", "--out", "{out}"],
         ["sample", "--f", "{b1}", "--circle", "0,0,0.5", "--n", "32", "--out", "{no_dir}/x.csv"],
         ["retrieve", "--boundary", "{boundary}", "--inner", "{inner}", "--r", "0.5",
          "--out", "{no_dir}/r.json"],
@@ -405,7 +408,8 @@ def test_verify_accepts_moebius_dilation(capsys, tmp_path):
         "certify-list", "verify-list", "certify-no-fields", "certify-int-zeros",
         "verify-int-zeros", "verify-int-factors", "verify-infinite-power", "verify-deep",
         "verify-three-number-constant", "verify-three-number-moebius", "verify-float-power",
-        "verify-string-power", "verify-bool-power", "sample-out-dir", "retrieve-out-dir",
+        "verify-string-power", "verify-bool-power", "certify-huge-constant", "verify-huge-zero",
+        "sample-huge-coeff", "sample-out-dir", "retrieve-out-dir",
     ],
 )
 def test_malformed_descriptors_and_paths_are_invalid_input(
@@ -427,8 +431,12 @@ def test_malformed_descriptors_and_paths_are_invalid_input(
         "float_power": json.dumps({"type": "power_composite", "k": 2.7, "inner": inner}),
         "string_power": json.dumps({"type": "power_composite", "k": "2", "inner": inner}),
         "bool_power": json.dumps({"type": "power_composite", "k": True, "inner": inner}),
+        # finite numbers whose modulus overflows a float
+        "huge_constant": json.dumps({"type": "blaschke", "constant": [1.5e308, 1.5e308], "zeros": []}),
+        "huge_zero": json.dumps({"type": "blaschke", "constant": [1, 0], "zeros": [[1.5e308, 1.5e308]]}),
+        "huge_coeff": json.dumps({"type": "poly", "coeffs": [[1, 0], [1.5e308, 1.5e308]]}),
     }
-    paths = {"no_dir": tmp_path / "missing", **blaschke_files}
+    paths = {"no_dir": tmp_path / "missing", "out": tmp_path / "out.csv", **blaschke_files}
     for name, text in descriptors.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(text)
@@ -450,7 +458,7 @@ def test_malformed_descriptors_and_paths_are_invalid_input(
     [
         (
             {"type": "blaschke", "constant": [1, 0], "zeros": [[0.1, 0.2, 0.3]]},
-            "zeros[0]: expected an [re, im] pair of numbers, got [0.1, 0.2, 0.3]",
+            "zeros[0]: expected an [re, im] pair of finite modulus, got [0.1, 0.2, 0.3]",
         ),
         ({"type": "blaschke", "constant": [1, 0]}, "zeros: missing field"),
         (

@@ -358,11 +358,14 @@ def _nest(depth, leaf):
         ({"type": "blaschke", "constant": [1, 0], "zeros": 5}, "zeros: expected a list, got int"),
         (
             {"type": "blaschke", "constant": [1, 0], "zeros": [[0.1, 0.2, 0.3]]},
-            r"zeros\[0\]: expected an \[re, im\] pair of numbers, got \[0.1, 0.2, 0.3\]",
+            r"zeros\[0\]: expected an \[re, im\] pair of finite modulus, got \[0.1, 0.2, 0.3\]",
         ),
         ({"type": "blaschke", "constant": [1, True], "zeros": []}, r"constant: expected an \[re, im\]"),
         ({"type": "blaschke", "constant": ["1", 0], "zeros": []}, r"constant: expected an \[re, im\]"),
         ({"type": "poly", "coeffs": [[10**400, 0]]}, r"coeffs\[0\]: expected an \[re, im\]"),
+        ({"type": "blaschke", "constant": [1.5e308, 1.5e308], "zeros": []}, r"^constant: expected an \[re, im\]"),
+        ({"type": "blaschke", "constant": [1, 0], "zeros": [[1.5e308, 1.5e308]]}, r"^zeros\[0\]: expected"),
+        ({"type": "poly", "coeffs": [[1, 0], [1.5e308, 1.5e308]]}, r"^coeffs\[1\]: expected an \[re, im\]"),
         ({"type": "rational", "num": _POLY, "den": _ONE}, "den: expected a 'poly' descriptor, got type 'blaschke'"),
         ({"type": "rational", "num": _ONE, "den": _POLY}, "num: expected a 'poly' descriptor, got type 'blaschke'"),
         (
@@ -390,9 +393,10 @@ def _nest(depth, leaf):
     ],
     ids=[
         "not-object", "no-type", "no-zeros", "int-zeros", "three-number-zero", "bool-number",
-        "string-number", "huge-int", "den-type", "num-type", "power-inner-type", "map-not-object",
-        "map-missing-b", "map-degenerate", "nested-unknown", "nested-constant", "empty-product",
-        "depth-9", "depth-300", "float-k", "string-k", "bool-k",
+        "string-number", "huge-int", "huge-constant", "huge-zero", "huge-coeff", "den-type",
+        "num-type", "power-inner-type", "map-not-object", "map-missing-b", "map-degenerate",
+        "nested-unknown", "nested-constant", "empty-product", "depth-9", "depth-300", "float-k",
+        "string-k", "bool-k",
     ],
 )
 def test_function_expr_from_json_names_the_field(obj, message):
