@@ -63,6 +63,10 @@ class PowerComposite:
     def __post_init__(self):
         if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)) or self.k < 1:
             raise ValueError(f"power must be >= 1 and an integer, got k = {self.k!r}")
+        # numpy raises z to k as a float, exact up to 2^53; a larger k is not
+        # echoed, since it may have thousands of digits
+        if self.k > 2**53:
+            raise ValueError("power must be at most 2^53")
 
     def __call__(self, z):
         zz = np.asarray(z, dtype=complex)

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -23,6 +24,9 @@ from .errors import CircleNotInsideDisc, IdenticalCircles
 
 #: largest denominator q for which classify_angle reports theta = p pi / q
 _MAX_DENOMINATOR = 64
+
+#: largest distance, relative to |z_0|, of a point from the circle grid it is taken for
+_GRID_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -48,6 +52,8 @@ class MoebiusMap:
             if not cmath.isfinite(value):
                 raise ValueError(f"Moebius coefficient {name} = {value} is not finite")
         scale = np.abs(coeffs).max()
+        if not math.isfinite(scale):
+            raise ValueError("a Moebius coefficient's modulus overflows a float")
         if scale == 0.0:
             raise ValueError("all Moebius coefficients are zero")
         coeffs = coeffs / scale
@@ -125,6 +131,8 @@ class Circle:
         """``n`` equally spaced points, the first at angle ``phase_offset``."""
         if not math.isfinite(phase_offset):
             raise ValueError(f"phase_offset must be finite, got {phase_offset!r}")
+        if phase_offset == 0.0:
+            return self.center + self.radius * _roots_of_unity(n)
         t = phase_offset + 2.0 * np.pi * np.arange(n) / n
         return self.center + self.radius * np.exp(1j * t)
 
@@ -133,6 +141,28 @@ class Circle:
 
 
 UNIT_CIRCLE = Circle(0.0, 1.0)
+
+
+@lru_cache(maxsize=8)
+def _roots_of_unity(n: int) -> np.ndarray:
+    """e^{2 pi i k / n}, k = 0..n-1, computed once per n; the array is read-only."""
+    roots = np.exp(1j * (2.0 * np.pi * np.arange(n) / n))
+    roots.flags.writeable = False
+    return roots
+
+
+def _unit_grid_of(zz: np.ndarray):
+    """e^{2 pi i k / m} when the 1-D points are zz[0] times it (m >= 2,
+    zz[0] != 0), else None; the returned array is read-only.
+
+    Points within 1e-14 |zz[0]| of the grid count as on it: computing with
+    the exact grid then moves a result by round-off only.
+    """
+    if zz.ndim != 1 or len(zz) < 2 or zz[0] == 0:
+        return None
+    unit = _roots_of_unity(len(zz))
+    on_grid = float(np.abs(zz - zz[0] * unit).max()) <= _GRID_TOL * abs(zz[0])
+    return unit if on_grid else None  # a NaN point fails the test
 
 
 @dataclass(frozen=True)

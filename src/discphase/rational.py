@@ -35,7 +35,7 @@ class Polynomial:
 
     Trailing coefficients below 1e-14 * max|coeff| are trimmed on
     construction; the zero polynomial is stored as [0].  Non-finite
-    coefficients raise ValueError.
+    coefficients, and finite ones whose modulus overflows, raise ValueError.
     """
 
     __slots__ = ("coeffs",)
@@ -47,6 +47,8 @@ class Polynomial:
         if not np.isfinite(arr).all():
             raise ValueError("polynomial coefficients must be finite")
         top = float(np.abs(arr).max())
+        if top == np.inf:
+            raise ValueError("a polynomial coefficient's modulus overflows a float")
         if top == 0.0:
             arr = np.zeros(1, dtype=complex)
         else:

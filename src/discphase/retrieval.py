@@ -11,7 +11,9 @@ circle of radius r:
 3. |B|^2 on the circle extends to a rational function H of numerator and
    denominator degree <= 2N (reflection conj(z) = r^2/z), which is fitted
    as a homogeneous least-squares problem in w = z / r, where the sample
-   points lie on the unit circle; the poles of H, r times the roots of the
+   points lie on the unit circle (one objective on every input, reduced by
+   one FFT of the moduli when the points form a uniform grid, and by a QR
+   of the design otherwise); the poles of H, r times the roots of the
    fitted denominator, split into a cluster at r^2 * zeros (modulus < r^2)
    and reflected poles (modulus > 1), so the zeros of B can be read off;
 4. the global phase is unrecoverable: results are normalized to Blaschke
@@ -29,6 +31,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .blaschke import (
     BlaschkeProduct,
@@ -49,7 +52,7 @@ from .errors import (
     ResidualTooLarge,
     ZeroOnCircle,
 )
-from .geometry import Circle
+from .geometry import Circle, _unit_grid_of
 from .outer import BoundaryModulus, OuterFunction
 from .rational import Polynomial, RationalFunction, modulus_equation, poly_roots
 
@@ -122,11 +125,20 @@ def fit_modulus_rational(data: ModulusData, degree: int) -> ModulusFit:
     """Fit P/Q with deg P, deg Q <= 2*degree to m^2 on the data circle.
 
     Minimizes sum |P(w_k) - m_k^2 Q(w_k)|^2 over unit-norm coefficient
-    vectors via the smallest singular direction of the design matrix.  The
-    fit is performed in the scaled variable w = z / r so the monomial
-    columns stay on the unit circle (well conditioned for every r).  The
-    design is reduced to its triangular QR factor first, whose SVD has the
-    same singular values and right vectors with no m x k left factor.
+    vectors via the smallest singular direction of the design matrix
+    [W, -D W], W[k, j] = w_k^j and D = diag(m^2).  The fit is performed in
+    the scaled variable w = z / r so the monomial columns stay on the unit
+    circle (well conditioned for every r).  Before the SVD the design is
+    reduced to a 2K x 2K matrix (K = 2*degree + 1) with the same right
+    singular vectors and, up to a factor sqrt(m), the same singular values,
+    by one of two routes:
+
+    * points on a uniform grid w_k = w_0 e^{2 pi i k / m} in that order: the
+      unitary DFT maps the design to sqrt(m) [[I, -C_top], [0, -C_bot]]
+      diag(Phi, Phi), with c = FFT(m^2) / m, C[l, j] = c[(l - j) mod m] and
+      Phi = diag(w_0^j); C_top is its first K rows, and C_bot, the Toeplitz
+      rest, is reduced by a QR of (m - K) x K, with no powers of w built;
+    * any other points: a QR of the m x 2K design.
     """
     _check_degree("degree", degree)
     r = data.circle.radius
@@ -138,11 +150,20 @@ def fit_modulus_rational(data: ModulusData, degree: int) -> ModulusFit:
         raise ValueError(
             f"need at least {2 * n_coeff} samples for degree {degree}, got {n_samples}"
         )
-    w = data.points / r
     m2 = data.moduli**2
-    powers = w[:, None] ** np.arange(n_coeff)[None, :]
-    design = np.hstack([powers, -m2[:, None] * powers])
-    _, s, vh = np.linalg.svd(np.linalg.qr(design, mode="r"))
+    j = np.arange(n_coeff)
+    if _unit_grid_of(data.points) is None:
+        powers = (data.points / r)[:, None] ** j[None, :]
+        design = np.hstack([powers, -m2[:, None] * powers])
+        _, s, vh = np.linalg.svd(np.linalg.qr(design, mode="r"))
+        s = s / np.sqrt(n_samples)
+    else:
+        c = np.fft.fft(m2) / n_samples
+        top = c[(j[:, None] - j[None, :]) % n_samples]
+        bottom = np.linalg.qr(sliding_window_view(c[1:], n_coeff)[:, ::-1], mode="r")
+        block = np.block([[np.eye(n_coeff), -top], [np.zeros_like(top), -bottom]])
+        _, s, vh = np.linalg.svd(block * np.tile((data.points[0] / r) ** j, 2))
+    # s holds the singular values of the design divided by sqrt(m)
     x = vh[-1].conjugate()
     den = Polynomial(x[n_coeff:])
     if den.is_zero:
@@ -151,7 +172,7 @@ def fit_modulus_rational(data: ModulusData, degree: int) -> ModulusFit:
     return ModulusFit(
         num=Polynomial(x[:n_coeff] / lead),
         den=Polynomial(den.coeffs / lead),
-        residual=float(s[-1]) / np.sqrt(n_samples),
+        residual=float(s[-1]),
         rank_deficient=float(s[-2]) < _RANK_RATIO * float(s[0]),
     )
 

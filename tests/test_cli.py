@@ -397,6 +397,7 @@ def test_verify_accepts_moebius_dilation(capsys, tmp_path):
         ["verify", "--f", "{float_power}", "--g", "{b3}", "--set", "circle:0,0,0.5"],
         ["verify", "--f", "{string_power}", "--g", "{b3}", "--set", "circle:0,0,0.5"],
         ["verify", "--f", "{bool_power}", "--g", "{b3}", "--set", "circle:0,0,0.5"],
+        ["verify", "--f", "{huge_power}", "--g", "{b3}", "--set", "circle:0,0,0.5"],
         ["certify", "--f", "{huge_constant}", "--g", "{b3}", "--r", "0.5", "--points", "16"],
         ["verify", "--f", "{huge_zero}", "--g", "{b3}", "--set", "circle:0,0,0.5"],
         ["sample", "--f", "{huge_coeff}", "--circle", "0,0,0.5", "--n", "8", "--out", "{out}"],
@@ -408,8 +409,8 @@ def test_verify_accepts_moebius_dilation(capsys, tmp_path):
         "certify-list", "verify-list", "certify-no-fields", "certify-int-zeros",
         "verify-int-zeros", "verify-int-factors", "verify-infinite-power", "verify-deep",
         "verify-three-number-constant", "verify-three-number-moebius", "verify-float-power",
-        "verify-string-power", "verify-bool-power", "certify-huge-constant", "verify-huge-zero",
-        "sample-huge-coeff", "sample-out-dir", "retrieve-out-dir",
+        "verify-string-power", "verify-bool-power", "verify-huge-power", "certify-huge-constant",
+        "verify-huge-zero", "sample-huge-coeff", "sample-out-dir", "retrieve-out-dir",
     ],
 )
 def test_malformed_descriptors_and_paths_are_invalid_input(
@@ -431,6 +432,8 @@ def test_malformed_descriptors_and_paths_are_invalid_input(
         "float_power": json.dumps({"type": "power_composite", "k": 2.7, "inner": inner}),
         "string_power": json.dumps({"type": "power_composite", "k": "2", "inner": inner}),
         "bool_power": json.dumps({"type": "power_composite", "k": True, "inner": inner}),
+        # numpy would round a power above 2^53 to a float, and 10**400 overflows it
+        "huge_power": json.dumps({"type": "power_composite", "k": 10**400, "inner": inner}),
         # finite numbers whose modulus overflows a float
         "huge_constant": json.dumps({"type": "blaschke", "constant": [1.5e308, 1.5e308], "zeros": []}),
         "huge_zero": json.dumps({"type": "blaschke", "constant": [1, 0], "zeros": [[1.5e308, 1.5e308]]}),

@@ -421,6 +421,8 @@ _HALF_TURN = RationalFunction(Polynomial([-1j, 1.0]), Polynomial([1j, 1.0]))
         (lambda: PowerComposite(0, _HALF_TURN), "power must be >= 1"),
         (lambda: PowerComposite(2.5, _HALF_TURN), "power must be >= 1 and an integer, got k = 2.5"),
         (lambda: PowerComposite(True, _HALF_TURN), "power must be >= 1 and an integer, got k = True"),
+        (lambda: PowerComposite(2**53 + 1, _HALF_TURN), r"power must be at most 2\^53"),
+        (lambda: PowerComposite(10**400, _HALF_TURN), r"power must be at most 2\^53"),
         (lambda: ProductExpr(()), "product needs at least one factor"),
         (
             lambda: reduce(lambda e, _: ProductExpr((e,)), range(8), BlaschkeProduct(1.0, ())),
@@ -428,7 +430,10 @@ _HALF_TURN = RationalFunction(Polynomial([-1j, 1.0]), Polynomial([1j, 1.0]))
         ),
         (lambda: rational_angle_pair(3, -1.0, 2.0), "c1 and c2 must be positive"),
     ],
-    ids=["power", "power-float", "power-bool", "empty-product", "product-depth", "angle-pair-sign"],
+    ids=[
+        "power", "power-float", "power-bool", "power-above-2-53", "power-huge", "empty-product",
+        "product-depth", "angle-pair-sign",
+    ],
 )
 def test_counterexample_input_validation(call, message):
     with pytest.raises(ValueError, match=message):

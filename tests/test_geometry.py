@@ -68,6 +68,24 @@ def test_circle_rejects_non_finite_center_and_radius(center, radius):
         Circle(center, radius)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 4096])
+@pytest.mark.parametrize("center, radius", [(0.0, 1.0), (0.1 - 0.2j, 0.35)])
+def test_sample_points_match_the_exp_formula_bit_for_bit(n, center, radius):
+    circle = Circle(center, radius)
+    want = circle.center + circle.radius * np.exp(1j * (0.0 + 2.0 * np.pi * np.arange(n) / n))
+    for _ in range(2):  # built, then from the cache
+        got = circle.sample_points(n)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_sample_points_are_a_fresh_writable_array():
+    first = Circle(0.0, 1.0).sample_points(32)
+    first[:] = 7.0
+    again = Circle(0.0, 1.0).sample_points(32)
+    assert again.flags.writeable and again[0] == 1.0 and again is not first
+    assert np.abs(np.abs(again) - 1.0).max() < 1e-15
+
+
 def test_moebius_apply_identity():
     m = MoebiusMap(1, 0, 0, 1)
     assert m(0.7j) == pytest.approx(0.7j)
@@ -88,8 +106,9 @@ def test_cayley_type_map_kills_numerator():
         ((1.0, 1.0, 1.0, 1.0 + 1e-15), "degenerate"),
         ((math.inf, 0.0, 0.0, 1.0), "coefficient a = .* is not finite"),
         ((1.0, 0.0, complex(0.0, math.nan), 1.0), "coefficient c = .* is not finite"),
+        ((1.5e308 + 1.5e308j, 0.0, 0.0, 1.0), "coefficient's modulus overflows"),
     ],
-    ids=["zero", "degenerate", "constant", "near-degenerate", "infinite", "nan"],
+    ids=["zero", "degenerate", "constant", "near-degenerate", "infinite", "nan", "overflowing"],
 )
 def test_moebius_rejects_zero_degenerate_and_non_finite_coefficients(coeffs, message):
     with pytest.raises(ValueError, match=message):

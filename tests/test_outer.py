@@ -190,6 +190,38 @@ def test_agrees_with_direct_trapezoid_sum(n):
         assert np.abs(got / _trapezoid_reference(boundary, z) - 1.0).max() <= 1e-13, label
 
 
+@pytest.mark.parametrize("n", [16, 256, 4096])
+@pytest.mark.parametrize("rho", [0.3, 0.95, 0.99])
+def test_truncated_scattered_series_agrees_with_direct_trapezoid_sum(n, rho):
+    # the scattered series stops where rho^j falls below round-off
+    rng = np.random.default_rng([n, int(100 * rho)])
+    boundary = BoundaryModulus(np.exp(0.5 * rng.standard_normal(n)))
+    z = 0.999 * rho * np.sqrt(rng.uniform(size=100)) * np.exp(2j * np.pi * rng.uniform(size=100))
+    z[:2] = rho * 1j, -rho  # max |z| is exactly rho
+    got = OuterFunction(boundary)(z)
+    assert np.abs(got / _trapezoid_reference(boundary, z) - 1.0).max() <= 1e-13
+
+
+def test_series_length_drops_only_terms_below_round_off():
+    from discphase.outer import _series_length
+
+    assert _series_length(0.95, 4096) == 774
+    assert 0.95**775 <= 2.0**-53 * 0.05 < 0.95**774
+    assert _series_length(0.99, 4096) == 4096
+    assert _series_length(0.3, 16) == 16
+    assert _series_length(0.0, 4096) == 0
+    assert _series_length(float("nan"), 4096) == 4096
+
+
+def test_nan_scattered_point_stays_nan():
+    u = OuterFunction(boundary_modulus_of(lambda z: 1 + z / 2, 4096))
+    z = np.array([0.1, np.nan, 0.5j])
+    with np.errstate(invalid="ignore"):
+        got = u(z)
+    assert np.isnan(got[1])
+    assert np.abs(got[[0, 2]] - u(z[[0, 2]])).max() < 1e-15
+
+
 def test_value_at_zero_in_every_shape():
     rng = np.random.default_rng(7)
     boundary = BoundaryModulus(np.exp(0.5 * rng.standard_normal(256)))
@@ -228,7 +260,7 @@ def test_scattered_evaluation_memory_is_small():
 
 
 def test_circle_grids_take_the_fft_branch():
-    from discphase.outer import _unit_grid_of
+    from discphase.geometry import _unit_grid_of
 
     for grid in (
         Circle(0.0, 0.5).sample_points(4096),

@@ -26,6 +26,11 @@ def test_polynomial_trim_and_degree():
     assert Polynomial([0.0, 0.0]).is_zero
 
 
+def test_polynomial_rejects_a_coefficient_whose_modulus_overflows():
+    with pytest.raises(ValueError, match="coefficient's modulus overflows"):
+        Polynomial([1, 1.5e308 + 1.5e308j])
+
+
 def test_polynomial_eval_and_arithmetic():
     p = Polynomial([1.0, 0.0, 1.0])  # 1 + z^2
     q = Polynomial([0.0, 1.0])  # z

@@ -70,27 +70,112 @@ def _fitted(fit, r):
     return lambda z: h(np.asarray(z) / r)
 
 
-@pytest.mark.parametrize("degree", range(9))
-@pytest.mark.parametrize("m", [64, 256, 4096])
-@pytest.mark.parametrize("r", [0.3, 0.7])
-def test_fit_agrees_with_the_svd_of_the_explicit_design(degree, m, r):
+_EPS = np.finfo(float).eps
+
+
+def _pin_data(degree, m, r):
     # data of degree + 1, so the residual is above round-off and the
     # smallest singular direction is unique
     rng = np.random.default_rng([degree, m, int(10 * r)])
     b = random_blaschke(rng, degree + 1, max_modulus=0.8, min_separation=0.2)
-    data = sample_modulus(b, Circle(0.0, r), m)
+    return sample_modulus(b, Circle(0.0, r), m)
+
+
+def _reversed(data):
+    """The same samples in reversed order, which is no grid in the fit's sense."""
+    return ModulusData(data.circle, data.points[::-1], data.moduli[::-1])
+
+
+def _explicit_design(data, degree):
+    r = data.circle.radius
+    powers = (data.points / r)[:, None] ** np.arange(2 * degree + 1)
+    return np.hstack([powers, -(data.moduli**2)[:, None] * powers])
+
+
+def _poles(den, r):
+    return r * np.array(poly_roots(den))
+
+
+def _check_attains_the_smallest_singular_value(fit, data, degree):
+    """The fit's unit vector x has ||A x|| <= s_min + 10 eps s_max, and its
+    residual is s_min / sqrt(m) within the same distance (Weyl); returns the
+    singular values and right vectors of the explicit design A."""
+    design = _explicit_design(data, degree)
+    _, s, vh = np.linalg.svd(design, full_matrices=False)
+    n_coeff = 2 * degree + 1
+    x = np.zeros(2 * n_coeff, dtype=complex)
+    x[: len(fit.num.coeffs)] = fit.num.coeffs
+    x[n_coeff : n_coeff + len(fit.den.coeffs)] = fit.den.coeffs
+    x /= np.linalg.norm(x)
+    assert np.linalg.norm(design @ x) <= s[-1] + 10 * _EPS * s[0]
+    assert abs(fit.residual * np.sqrt(len(data)) - s[-1]) <= 10 * _EPS * s[0]
+    return s, vh
+
+
+@pytest.mark.parametrize("degree", range(9))
+@pytest.mark.parametrize("m", [64, 256, 4096])
+@pytest.mark.parametrize("r", [0.3, 0.7])
+def test_fit_agrees_with_the_svd_of_the_explicit_design(degree, m, r):
+    # the general path factors the same matrix as the explicit SVD; in grid
+    # order the data would take the FFT path, which these bounds cannot pin
+    data = _reversed(_pin_data(degree, m, r))
     fit = fit_modulus_rational(data, degree)
     n_coeff = 2 * degree + 1
-    powers = (data.points / r)[:, None] ** np.arange(n_coeff)
-    design = np.hstack([powers, -(data.moduli**2)[:, None] * powers])
-    _, s, vh = np.linalg.svd(design, full_matrices=False)
+    _, s, vh = np.linalg.svd(_explicit_design(data, degree), full_matrices=False)
     assert fit.residual == pytest.approx(s[-1] / np.sqrt(m), rel=1e-12)
     assert abs(fit.den.coeffs[-1] - 1.0) < 1e-15
-    want = r * np.array(poly_roots(Polynomial(vh[-1, n_coeff:].conj())))
-    got = r * np.array(poly_roots(fit.den))
+    want = _poles(Polynomial(vh[-1, n_coeff:].conj()), r)
+    got = _poles(fit.den, r)
     assert len(got) == len(want) == 2 * degree
     for pole in want:
         assert np.abs(got - pole).min() < 1e-9
+
+
+def _check_inner_poles_agree(den, want, r, s):
+    """Where the smallest singular value is separated by more than
+    1e-6 s_max, each pole inside the circle, the ones retrieval reads, is
+    within 1e-9 of one of ``want``."""
+    if s[-2] - s[-1] > 1e-6 * s[0]:
+        got = _poles(den, r)
+        for pole in got[np.abs(got) < r]:
+            assert np.abs(want - pole).min() < 1e-9
+
+
+@pytest.mark.parametrize("degree", range(9))
+@pytest.mark.parametrize("m", [64, 256, 4096])
+@pytest.mark.parametrize("r", [0.3, 0.7])
+def test_grid_fit_attains_the_smallest_singular_value_of_the_explicit_design(degree, m, r):
+    # a 1-ulp relative change of the design entries moves the explicit SVD's
+    # poles by up to 4.5e-6 here (r = 0.3, m = 4096, degree 8), so the poles
+    # are pinned only where the smallest singular value is well separated
+    data = _pin_data(degree, m, r)
+    fit = fit_modulus_rational(data, degree)
+    s, vh = _check_attains_the_smallest_singular_value(fit, data, degree)
+    assert abs(fit.den.coeffs[-1] - 1.0) < 1e-15
+    want = _poles(Polynomial(vh[-1, 2 * degree + 1 :].conj()), r)
+    assert len(_poles(fit.den, r)) == len(want) == 2 * degree
+    _check_inner_poles_agree(fit.den, want, r, s)
+
+
+@pytest.mark.parametrize("degree", [0, 3, 6, 8])
+@pytest.mark.parametrize("m", [64, 4096])
+@pytest.mark.parametrize("r", [0.3, 0.7])
+def test_grid_and_general_fits_agree(degree, m, r):
+    # the same samples in grid order (FFT path) and reversed (QR path)
+    grid = _pin_data(degree, m, r)
+    fits = [fit_modulus_rational(d, degree) for d in (grid, _reversed(grid))]
+    for fit, data in zip(fits, (grid, _reversed(grid))):
+        s, _ = _check_attains_the_smallest_singular_value(fit, data, degree)
+    assert abs(fits[0].residual - fits[1].residual) * np.sqrt(m) <= 10 * _EPS * s[0]
+    _check_inner_poles_agree(fits[0].den, _poles(fits[1].den, r), r, s)
+
+
+def test_fit_takes_the_grid_path_only_on_a_grid_in_order():
+    from discphase.geometry import _unit_grid_of
+
+    data = _pin_data(2, 64, 0.5)
+    assert _unit_grid_of(data.points) is not None
+    assert _unit_grid_of(_reversed(data).points) is None
 
 
 def test_fit_constant_function():
