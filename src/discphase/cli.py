@@ -1,10 +1,10 @@
 """Command-line interface: JSON reports on stdout, diagnostics on stderr.
 
 Exit codes: 0 success/certified, 1 certification failed or inconclusive,
-2 invalid input, 3 numerical failure, 4 internal error (a bug: the
-traceback goes to stderr).  Reports carry a matching "status" field;
-identical inputs produce byte-identical output (floats are printed in
-shortest round-trip form).  The commands raise; ``main`` alone maps an
+2 invalid input, 3 numerical failure (running out of memory included),
+4 internal error (a bug: the traceback goes to stderr).  Reports carry a
+matching "status" field; identical inputs produce byte-identical output
+(floats are printed in shortest round-trip form).  The commands raise; ``main`` alone maps an
 exception to its exit code.
 """
 
@@ -69,8 +69,8 @@ _STATUS = {
     EXIT_INTERNAL: "internal-error",
 }
 
-#: exceptions that mean the input was bad; any other DiscPhaseError is a
-#: numerical failure (exit 3) and anything else a bug (exit 4)
+#: exceptions that mean the input was bad; any other DiscPhaseError and a
+#: MemoryError are a numerical failure (exit 3), and anything else a bug (exit 4)
 _INPUT_ERRORS = (ValueError, OSError, IdenticalCircles)
 
 
@@ -423,6 +423,8 @@ def main(argv=None) -> int:
     except DiscPhaseError as exc:
         stage = {"stage": exc.stage} if exc.stage else {}
         return _fail(EXIT_NUMERICAL, str(exc), **stage, kind=type(exc).__name__)
+    except MemoryError as exc:  # a grid too large for this machine, not a bug
+        return _fail(EXIT_NUMERICAL, str(exc) or "out of memory", kind="MemoryError")
     except Exception as exc:
         traceback.print_exc()
         return _fail(EXIT_INTERNAL, str(exc), kind=type(exc).__name__)

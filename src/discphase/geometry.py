@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -27,6 +28,16 @@ _MAX_DENOMINATOR = 64
 
 #: largest distance, relative to |z_0|, of a point from the circle grid it is taken for
 _GRID_TOL = 1e-14
+
+
+def _check_count(name: str, value) -> None:
+    # a count sizes an array: nan, 2.5, inf and -3 count nothing
+    try:
+        ok = operator.index(value) >= 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -129,6 +140,7 @@ class Circle:
 
     def sample_points(self, n: int, phase_offset: float = 0.0) -> np.ndarray:
         """``n`` equally spaced points, the first at angle ``phase_offset``."""
+        _check_count("n", n)
         if not math.isfinite(phase_offset):
             raise ValueError(f"phase_offset must be finite, got {phase_offset!r}")
         if phase_offset == 0.0:
@@ -151,18 +163,16 @@ def _roots_of_unity(n: int) -> np.ndarray:
     return roots
 
 
-def _unit_grid_of(zz: np.ndarray):
-    """e^{2 pi i k / m} when the 1-D points are zz[0] times it (m >= 2,
-    zz[0] != 0), else None; the returned array is read-only.
+def _is_centred_grid(zz: np.ndarray) -> bool:
+    """Whether the 1-D points are zz[0] e^{2 pi i k / m}, k = 0..m-1, in that
+    order (m >= 2, zz[0] != 0).
 
     Points within 1e-14 |zz[0]| of the grid count as on it: computing with
-    the exact grid then moves a result by round-off only.
+    the exact grid then moves a result by round-off only.  A NaN point is off it.
     """
     if zz.ndim != 1 or len(zz) < 2 or zz[0] == 0:
-        return None
-    unit = _roots_of_unity(len(zz))
-    on_grid = float(np.abs(zz - zz[0] * unit).max()) <= _GRID_TOL * abs(zz[0])
-    return unit if on_grid else None  # a NaN point fails the test
+        return False
+    return bool(np.abs(zz - zz[0] * _roots_of_unity(len(zz))).max() <= _GRID_TOL * abs(zz[0]))
 
 
 @dataclass(frozen=True)

@@ -10,26 +10,26 @@ smooth periodic log-modulus.  u has no zeros in the disc, u(0) > 0, and
 |u| has boundary values m.  Evaluation is trusted only up to |z| = 0.99:
 the kernel amplifies the quadrature error like 1/(1 - |z|).
 
-Expanding the kernel in powers of z / w_k sums the rule in closed form:
-with c = FFT(log m) / n,
+Expanding the kernel in powers of z / w_k sums the rule as one periodic
+power series: with c = FFT(log m) / n,
 
-    log u(z) = c_0 + 2 sum_{j=1..n} c_{j mod n} z^j / (1 - z^n),
+    log u(z) = c_0 + 2 sum_{j >= 1} c_{j mod n} z^j,
 
 the same quadrature with no n x m kernel matrix (Henrici, "Fast Fourier
-methods in computational complex analysis", SIAM Review 1979).  The
-degree-n polynomial is evaluated in one of two ways, chosen from the points:
+methods in computational complex analysis", SIAM Review 1979).  At points
+of modulus <= rho only the terms j <= J are summed, J the smallest index
+with rho^(J + 1) <= 2^-53 (1 - rho): the dropped tail is below the rounding
+already in every c_j.  J is 774 at rho = 0.95 and 4113 at rho = 0.99,
+whatever n.  The kept terms are summed in one of two ways, chosen from the
+points:
 
 * a uniform circle grid z_k = z_0 e^{2 pi i k / m} in that order (m >= 2,
   z_0 != 0): fold c_{j mod n} z_0^j by j mod m and take one inverse FFT
   of length m;
-* any other points: only the terms j <= J, where rho = max |z| and J <= n
-  is the smallest index with rho^(J + 1) <= 2^-53 (1 - rho), so the
-  dropped tail (and z^n with it) is below the rounding already in every
-  c_j; J is 774 at rho = 0.95, and nothing is dropped at rho = 0.99 for
-  n <= 4113.  They are summed in blocks of B = ceil(sqrt(J + 1))
-  coefficients (Paterson-Stockmeyer): one m x B power matrix times the
+* any other points: in blocks of B = isqrt(J + 1) + 1 coefficients
+  (Paterson-Stockmeyer): one m x B power matrix times the
   B x ceil((J + 1) / B) coefficient matrix, then Horner steps in z^B, so
-  memory is O(m sqrt(n)).
+  memory is O(m sqrt(J)).
 
 u(0) = exp(c_0) is real, since c_0 is the mean of log m.
 """
@@ -43,7 +43,7 @@ import numpy as np
 
 from .blaschke import ModulusData, modulus_samples, read_csv, write_csv
 from .errors import EvaluationTooCloseToBoundary, ZeroOnBoundary
-from .geometry import UNIT_CIRCLE, _unit_grid_of
+from .geometry import UNIT_CIRCLE, _is_centred_grid
 
 _MIN_GRID = 16
 
@@ -110,65 +110,58 @@ class OuterFunction:
         n = boundary.n
         c = np.fft.fft(np.log(boundary.moduli)) / n
         self._c0 = float(c[0].real)
-        self._coeffs = np.zeros(n + 1, dtype=complex)
-        self._coeffs[1:] = 2.0 * np.roll(c, -1)  # 2 c_{j mod n}, j = 1..n
+        top = _series_length(_RHO_MAX)
+        self._coeffs = 2.0 * np.resize(c[: top + 1], top + 1)  # 2 c_{j mod n}, j = 0..J
+        self._coeffs[0] = 0.0  # c_0 is added apart
 
     def __call__(self, z):
         """Evaluate the Schwarz-integral exponential at scalar or array z."""
         zz = np.asarray(z, dtype=complex)
-        if np.any(np.abs(zz) > _RHO_MAX):
-            worst = float(np.abs(zz).max())
-            raise EvaluationTooCloseToBoundary(f"|z| = {worst!r} exceeds rho_max = {_RHO_MAX!r}")
-        unit = _unit_grid_of(zz)
-        if unit is None:
-            series, z_n = self._blocked(zz.ravel())
+        rho = float(np.fmax.reduce(np.abs(zz), axis=None, initial=0.0))  # NaN points aside
+        if rho > _RHO_MAX:
+            raise EvaluationTooCloseToBoundary(f"|z| = {rho!r} exceeds rho_max = {_RHO_MAX!r}")
+        coeffs = self._coeffs[: _series_length(rho) + 1]
+        if _is_centred_grid(zz):
+            series = _on_grid(complex(zz[0]), len(zz), coeffs)
         else:
-            series, z_n = self._on_grid(complex(zz[0]), unit)
-        out = np.exp(self._c0 + series / (1.0 - z_n)).reshape(zz.shape)
+            series = _blocked(zz.ravel(), coeffs)
+        out = np.exp(self._c0 + series).reshape(zz.shape)
         return complex(out) if zz.ndim == 0 else out
 
-    def _on_grid(self, z0: complex, unit: np.ndarray):
-        """The series and z^n at z_k = z0 unit_k: one inverse FFT of length m."""
-        n, m = self.boundary.n, len(unit)
-        j = np.arange(n + 1)
-        powers = abs(z0) ** j * np.exp(1j * cmath.phase(z0) * j)
-        folded = np.zeros(-(-(n + 1) // m) * m, dtype=complex)
-        folded[: n + 1] = self._coeffs * powers
-        series = np.fft.ifft(folded.reshape(-1, m).sum(axis=0), norm="forward")
-        return series, powers[n] * unit[n * np.arange(m) % m]
 
-    def _blocked(self, flat: np.ndarray):
-        """The series and z^n at any points: Paterson-Stockmeyer blocks of
-        the terms j <= J (see _series_length)."""
-        n = self.boundary.n
-        top = _series_length(float(np.abs(flat).max(initial=0.0)), n)
-        size = math.isqrt(top) + 1  # B = ceil(sqrt(J + 1))
-        blocks = np.zeros(-(-(top + 1) // size) * size, dtype=complex)
-        blocks[: top + 1] = self._coeffs[: top + 1]
-        blocks = blocks.reshape(-1, size).T  # column q: j = q B .. q B + B - 1
-        powers = np.vander(flat, size, increasing=True)
-        z_size = powers[:, -1] * flat
-        partial = powers @ blocks
-        series = partial[:, -1]
-        for q in range(blocks.shape[1] - 2, -1, -1):
-            series = series * z_size + partial[:, q]
-        if top < n:
-            return series, 0.0  # |z^n| < rho^(J + 1): round-off beside 1, like the tail
-        return series, powers[:, n % size] * z_size ** (n // size)
+def _on_grid(z0: complex, m: int, coeffs: np.ndarray) -> np.ndarray:
+    """The series at z_k = z0 e^{2 pi i k / m}: one inverse FFT of length m."""
+    j = np.arange(len(coeffs))
+    folded = np.zeros(-(-len(coeffs) // m) * m, dtype=complex)
+    folded[: len(coeffs)] = coeffs * abs(z0) ** j * np.exp(1j * cmath.phase(z0) * j)
+    return np.fft.ifft(folded.reshape(-1, m).sum(axis=0), norm="forward")
 
 
-def _series_length(rho: float, n: int) -> int:
-    """The last term J <= n of the series kept at points of modulus <= rho.
+def _blocked(flat: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The series at any points: Paterson-Stockmeyer blocks of the coefficients."""
+    size = math.isqrt(len(coeffs)) + 1  # B >= 2, so a NaN point meets z^1
+    blocks = np.zeros(-(-len(coeffs) // size) * size, dtype=complex)
+    blocks[: len(coeffs)] = coeffs
+    blocks = blocks.reshape(-1, size).T  # column q: j = q B .. q B + B - 1
+    powers = np.vander(flat, size, increasing=True)
+    z_size = powers[:, -1] * flat
+    partial = powers @ blocks
+    series = partial[:, -1]
+    for q in range(blocks.shape[1] - 2, -1, -1):
+        series = series * z_size + partial[:, q]
+    return series
+
+
+def _series_length(rho: float) -> int:
+    """The last term J of the series kept at points of modulus <= rho < 1.
 
     J is the smallest index with rho^(J + 1) <= 2^-53 (1 - rho), so the
     dropped terms sum to at most 2^-53 max|coef|, below the rounding of the
-    FFT coefficients themselves; a NaN rho keeps all n terms.
+    FFT coefficients themselves.
     """
-    if not rho < 1.0:
-        return n
     if rho == 0.0:
         return 0
-    return min(n, math.ceil(math.log(2.0**-53 * (1.0 - rho)) / math.log(rho)) - 1)
+    return math.ceil(math.log(2.0**-53 * (1.0 - rho)) / math.log(rho)) - 1
 
 
 def boundary_modulus_of(func, n: int) -> BoundaryModulus:

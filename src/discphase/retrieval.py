@@ -26,7 +26,6 @@ cross-checks that the difference polynomial vanishes.
 
 from __future__ import annotations
 
-import operator
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
@@ -52,7 +51,7 @@ from .errors import (
     ResidualTooLarge,
     ZeroOnCircle,
 )
-from .geometry import Circle, _unit_grid_of
+from .geometry import Circle, _check_count, _is_centred_grid
 from .outer import BoundaryModulus, OuterFunction
 from .rational import Polynomial, RationalFunction, modulus_equation, poly_roots
 
@@ -72,23 +71,13 @@ def _check_tolerance(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def _check_degree(name: str, value) -> None:
-    # a degree counts zeros and sizes the design: nan, 2.5 and inf are no degree
-    try:
-        ok = operator.index(value) >= 0
-    except TypeError:
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
-
-
 @dataclass(frozen=True)
 class RetrievalConfig:
     degree_max: int = 8
     residual_tol: float = 1e-7
 
     def __post_init__(self):
-        _check_degree("degree_max", self.degree_max)
+        _check_count("degree_max", self.degree_max)
         _check_tolerance("residual_tol", self.residual_tol)
 
 
@@ -140,7 +129,7 @@ def fit_modulus_rational(data: ModulusData, degree: int) -> ModulusFit:
       rest, is reduced by a QR of (m - K) x K, with no powers of w built;
     * any other points: a QR of the m x 2K design.
     """
-    _check_degree("degree", degree)
+    _check_count("degree", degree)
     r = data.circle.radius
     if abs(data.circle.center) > 1e-12:
         raise ValueError("modulus fit requires a circle centred at 0")
@@ -152,7 +141,7 @@ def fit_modulus_rational(data: ModulusData, degree: int) -> ModulusFit:
         )
     m2 = data.moduli**2
     j = np.arange(n_coeff)
-    if _unit_grid_of(data.points) is None:
+    if not _is_centred_grid(data.points):
         powers = (data.points / r)[:, None] ** j[None, :]
         design = np.hstack([powers, -m2[:, None] * powers])
         _, s, vh = np.linalg.svd(np.linalg.qr(design, mode="r"))

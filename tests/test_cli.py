@@ -528,6 +528,30 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     assert "Traceback (most recent call last)" in captured.err
 
 
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError(), "out of memory"),
+    (MemoryError("Unable to allocate 192. MiB"), "Unable to allocate 192. MiB"),
+])
+def test_memory_error_is_a_numerical_failure(capsys, monkeypatch, tmp_path, exc, message):
+    def too_large(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("discphase.cli.retrieve_two_circles", too_large)
+    f = tmp_path / "f.json"
+    f.write_text('{"type": "blaschke", "constant": [1, 0], "zeros": [[0.3, 0.1]]}')
+    for name, circle in (("boundary", "0,0,1"), ("inner", "0,0,0.5")):
+        assert main(["sample", "--f", str(f), "--circle", circle, "--n", "64",
+                     "--out", str(tmp_path / f"{name}.csv")]) == 0
+    capsys.readouterr()
+    code = main(["retrieve", "--boundary", str(tmp_path / "boundary.csv"),
+                 "--inner", str(tmp_path / "inner.csv"), "--r", "0.5"])
+    captured = capsys.readouterr()
+    rep = _strict_json(captured.out)
+    assert code == 3
+    assert rep == {"status": "numerical-failure", "error": message, "kind": "MemoryError"}
+    assert "Traceback" not in captured.err
+
+
 # -------------------------------------------------------------- verify / example
 
 

@@ -86,6 +86,17 @@ def test_sample_points_are_a_fresh_writable_array():
     assert np.abs(np.abs(again) - 1.0).max() < 1e-15
 
 
+@pytest.mark.parametrize("n", [2.5, -3, 16.0, math.nan, math.inf, "8"])
+def test_sample_points_reject_a_non_integer_count(n):
+    with pytest.raises(ValueError, match="n must be an integer >= 0"):
+        Circle(0.0, 1.0).sample_points(n)
+
+
+def test_sample_points_take_numpy_integers_and_zero():
+    assert np.array_equal(Circle(0.0, 1.0).sample_points(np.int64(4)), Circle(0.0, 1.0).sample_points(4))
+    assert Circle(0.0, 1.0).sample_points(0).shape == (0,)
+
+
 def test_moebius_apply_identity():
     m = MoebiusMap(1, 0, 0, 1)
     assert m(0.7j) == pytest.approx(0.7j)

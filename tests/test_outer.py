@@ -86,6 +86,14 @@ def test_boundary_modulus_of_outer_factor():
     assert np.allclose(bm.moduli, np.abs(1 + np.exp(1j * t) / 2))
 
 
+def test_boundary_modulus_of_rejects_a_non_integer_grid_size():
+    # 16.5 once gave 17 moduli sampled off the 2 pi k / 17 nodes they stand for
+    for n in (16.5, -3):
+        with pytest.raises(ValueError, match="n must be an integer >= 0"):
+            boundary_modulus_of(lambda z: 1 + z / 2, n)
+    assert boundary_modulus_of(lambda z: 1 + z / 2, np.int64(16)).n == 16
+
+
 def test_boundary_zero_rejected():
     with pytest.raises(ZeroOnBoundary):
         boundary_modulus_of(lambda z: 1.0 - z, 64)  # vanishes at the t = 0 node
@@ -205,19 +213,17 @@ def test_truncated_scattered_series_agrees_with_direct_trapezoid_sum(n, rho):
 def test_series_length_drops_only_terms_below_round_off():
     from discphase.outer import _series_length
 
-    assert _series_length(0.95, 4096) == 774
+    assert _series_length(0.95) == 774
     assert 0.95**775 <= 2.0**-53 * 0.05 < 0.95**774
-    assert _series_length(0.99, 4096) == 4096
-    assert _series_length(0.3, 16) == 16
-    assert _series_length(0.0, 4096) == 0
-    assert _series_length(float("nan"), 4096) == 4096
+    assert _series_length(0.99) == 4113
+    assert 0.99**4114 <= 2.0**-53 * 0.01 < 0.99**4113
+    assert _series_length(0.0) == 0
 
 
 def test_nan_scattered_point_stays_nan():
     u = OuterFunction(boundary_modulus_of(lambda z: 1 + z / 2, 4096))
     z = np.array([0.1, np.nan, 0.5j])
-    with np.errstate(invalid="ignore"):
-        got = u(z)
+    got = u(z)
     assert np.isnan(got[1])
     assert np.abs(got[[0, 2]] - u(z[[0, 2]])).max() < 1e-15
 
@@ -260,14 +266,14 @@ def test_scattered_evaluation_memory_is_small():
 
 
 def test_circle_grids_take_the_fft_branch():
-    from discphase.geometry import _unit_grid_of
+    from discphase.geometry import _is_centred_grid
 
     for grid in (
         Circle(0.0, 0.5).sample_points(4096),
         Circle(0.0, 0.7).sample_points(100, 0.3),
         0.3j * UNIT_CIRCLE.sample_points(2),
     ):
-        assert _unit_grid_of(grid) is not None
+        assert _is_centred_grid(grid) is True
     rng = np.random.default_rng(2)
     for points in (
         Circle(0.0, 0.5).sample_points(64)[::-1],
@@ -277,15 +283,14 @@ def test_circle_grids_take_the_fft_branch():
         np.zeros(4),
         np.array([0.5]),
     ):
-        assert _unit_grid_of(points) is None
+        assert _is_centred_grid(points) is False
 
 
 def test_nan_point_on_a_grid_stays_nan():
     u = OuterFunction(boundary_modulus_of(lambda z: 1 + z / 2, 64))
     grid = Circle(0.0, 0.5).sample_points(8)
     grid[3] = np.nan
-    with np.errstate(invalid="ignore"):
-        got = u(grid)
+    got = u(grid)
     assert np.isnan(got[3])
     keep = np.arange(8) != 3
     assert np.abs(got[keep] - u(grid[keep])).max() < 1e-15

@@ -171,11 +171,11 @@ def test_grid_and_general_fits_agree(degree, m, r):
 
 
 def test_fit_takes_the_grid_path_only_on_a_grid_in_order():
-    from discphase.geometry import _unit_grid_of
+    from discphase.geometry import _is_centred_grid
 
     data = _pin_data(2, 64, 0.5)
-    assert _unit_grid_of(data.points) is not None
-    assert _unit_grid_of(_reversed(data).points) is None
+    assert _is_centred_grid(data.points) is True
+    assert _is_centred_grid(_reversed(data).points) is False
 
 
 def test_fit_constant_function():
